@@ -550,9 +550,9 @@ let section_scaling () =
   in
   print_endline
     "(near-linear; the composition stages run through Engine.refresh, which\n\
-     either splices localized edits into the existing timing graph or — for\n\
-     bulk edit batches like a full composition pass — falls back to a\n\
-     rebuild, whichever is cheaper; the 70x row is the >=100k-register\n\
+     rebuilds the timing graph from the design after structural edits and\n\
+     re-times only the pins the edits reached; sta b/r counts graph builds\n\
+     and seeded refreshes; the 70x row is the >=100k-register\n\
      large-design checkpoint and its rss column bounds the whole ladder)";
   rows
 

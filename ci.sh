@@ -29,6 +29,15 @@ for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \
   dune exec "examples/$ex.exe" > /dev/null
 done
 
+echo "== QoR anchors (D1 x0.5: seeded, must reproduce exactly) =="
+after=$(dune exec bin/mbrc.exe -- run -p d1 --scale 0.5 | grep '^after :')
+for anchor in 'regs=477' 'tns=-14190.6' 'fail=648/2000'; do
+  case "$after" in
+    *" $anchor "*) ;;
+    *) echo "QoR anchor $anchor missing from: $after"; exit 1 ;;
+  esac
+done
+
 echo "== bench smoke (parallel allocate jobs = 2; ECO recompose round) =="
 dune exec bench/main.exe -- --smoke
 

@@ -250,7 +250,7 @@ let stage_merge ctx graph (selection : Allocate.selection) =
 let stage_scan_restitch ctx =
   stage ctx "scan-restitch" (fun () -> Mbr_dft.Scan_stitch.stitch ctx.placement)
 
-(* splice the merge/scan edits into the timing graph, then useful
+(* bring the timing graph up to date with the merge/scan edits, then useful
    skew + sizing; skews live in the engine so they carry through *)
 let stage_skew ctx ?cancel () =
   stage ctx "skew" (fun () ->
@@ -306,10 +306,9 @@ module Session = struct
     if Placement.design placement != design then
       invalid_arg
         "Flow.Session.create: placement does not belong to the given design";
-    (* The one full graph construction of the session: every stage of
-       every recompose brings this same engine up to date through
-       Engine.refresh, which consumes the design/placement edit logs
-       instead of rebuilding. *)
+    (* The one engine of the session: every stage of every recompose
+       brings it up to date through Engine.refresh, which consumes the
+       design/placement edit logs and re-times only what they reached. *)
     {
       options;
       design;

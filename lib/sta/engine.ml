@@ -1,4 +1,3 @@
-module Point = Mbr_geom.Point
 module Design = Mbr_netlist.Design
 module Types = Mbr_netlist.Types
 module Placement = Mbr_place.Placement
@@ -21,93 +20,14 @@ let default_config =
     output_delay = 40.0;
   }
 
-(* One timing arc, shared between the source's successor list and the
-   destination's predecessor list. Arc delays depend on pin locations
-   and net loads, so they are recomputed per analysis — but the memo
-   lives in the edge record itself, valid while [e_gen] matches the
-   engine's current delay generation, and the propagation hot loops
-   never touch a hash table. The memo holds one derated delay per
-   active corner (index-aligned with the engine's corner set; an
-   array whose length disagrees with the set is stale regardless of
-   generation). A full invalidation (every [analyze], which absorbs
-   placement moves) is a single generation bump; selective
-   invalidation stamps the record stale. Fresh splices start at
-   generation -1, which never matches, and because the record is
-   shared a delay is computed at most once per arc per generation no
-   matter which direction reaches it first. [e_cell] distinguishes a
-   comb input->output arc from a net driver->sink arc. *)
-type edge = {
-  e_src : Types.pin_id;
-  e_dst : Types.pin_id;
-  e_cell : bool;
-  mutable e_delay : float array;
-  mutable e_gen : int;
-}
-
-let mk_edge ~cell src dst =
-  { e_src = src; e_dst = dst; e_cell = cell; e_delay = [||]; e_gen = -1 }
-
-type endpoint_kind = Ep_reg_d of Types.cell_id | Ep_out_port
-
-(* A binary min-heap of (priority, pin) pairs: the dirty-pin worklists
-   process pins in topological order so every predecessor is final
-   before a pin is recomputed. *)
-module Pq = struct
-  type t = { mutable a : (int * int) array; mutable len : int }
-
-  let create () = { a = Array.make 64 (0, 0); len = 0 }
-
-  let is_empty h = h.len = 0
-
-  let push h x =
-    if h.len = Array.length h.a then begin
-      let b = Array.make (2 * h.len) (0, 0) in
-      Array.blit h.a 0 b 0 h.len;
-      h.a <- b
-    end;
-    let i = ref h.len in
-    h.len <- h.len + 1;
-    h.a.(!i) <- x;
-    let continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 2 in
-      if fst h.a.(p) > fst h.a.(!i) then begin
-        let tmp = h.a.(p) in
-        h.a.(p) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := p
-      end
-      else continue := false
-    done
-
-  let pop h =
-    let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < h.len && fst h.a.(l) < fst h.a.(!m) then m := l;
-      if r < h.len && fst h.a.(r) < fst h.a.(!m) then m := r;
-      if !m <> !i then begin
-        let tmp = h.a.(!m) in
-        h.a.(!m) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !m
-      end
-      else continue := false
-    done;
-    snd top
-end
-
 (* Arrival/required storage: one flat [Bigarray] float64 plane per
-   corner, indexed by pin id. Unboxed end to end — the propagation
-   inner loops and the worst-corner folds read and write raw doubles,
-   never a boxed [float array array] cell — and a plane is a single
-   malloc'd block outside the OCaml heap, so 100k-register planes
-   neither fragment the major heap nor add GC scan work. *)
+   direction, corner-interleaved ([pid * nc + k]), so all corners of a
+   pin share a cache line and a pred/succ read costs one miss
+   regardless of the corner count. Unboxed end to end, and a plane is a
+   single malloc'd block outside the OCaml heap, so 100k-register planes
+   neither fragment the major heap nor add GC scan work. Reachability is
+   structural — a pin has a finite arrival in one corner iff it does in
+   every corner. Pins outside the data graph always hold -inf / +inf. *)
 type plane =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -123,9 +43,9 @@ let pget : plane -> int -> float = Bigarray.Array1.unsafe_get
 
 let pset : plane -> int -> float -> unit = Bigarray.Array1.unsafe_set
 
-(* A growable int buffer for changed-pin collection: [int array] backed
-   (unboxed), unlike a list whose cons cells would churn the minor heap
-   once per changed pin. *)
+(* A growable int buffer for seed and changed-pin collection: [int
+   array] backed (unboxed), unlike a list whose cons cells would churn
+   the minor heap once per pin. *)
 type ivec = { mutable iv_a : int array; mutable iv_len : int }
 
 let ivec_create () = { iv_a = Array.make 64 0; iv_len = 0 }
@@ -139,63 +59,50 @@ let ivec_push v x =
   v.iv_a.(v.iv_len) <- x;
   v.iv_len <- v.iv_len + 1
 
-(* The levelized propagation plan and its per-corner scratch; see the
-   skew-propagation section below. *)
-type plan_scratch = {
-  ps_mark : int array;  (* per-pin epoch stamp: queued this pass *)
-  ps_next : int array;  (* intrusive per-level singly-linked list *)
-  ps_head : int array;  (* level -> first queued pin, -1 when empty *)
-  ps_tmp : float array;  (* per-corner recompute scratch *)
-  mutable ps_epoch : int;
-}
-
-type plan = {
-  pl_struct_gen : int;
-  mutable pl_delay_gen : int;
-      (* delays can be refilled in place when only [delay_gen] moved
-         (an [analyze] absorbing placement moves): the CSR layout is
-         keyed by [pl_struct_gen] alone *)
-  pl_nc : int;
-  pl_level : int array;
-      (* forward topological level per pin (-1 outside the graph);
+(* The timing graph: one CSR image of the data graph, computed straight
+   from the design. Pred rows are canonical — a sink's row is its net's
+   driver, a comb output's row is its cell's inputs in pin order — and
+   succ rows are the transpose in ascending destination order, so two
+   graphs of the same design are equal array for array, and a
+   structural refresh can diff the old graph against the new one row by
+   row. The numeric half (the [mutable] arrays) holds per-corner derated
+   delays, entry-major ([j * nc + k]); each direction streams its own
+   image, written together through [pr_su]. Startpoint launch =
+   skew(st_cell) + st_base (st_base alone for ports); endpoint required
+   = (clock_period + skew(ep_cell)) - ep_term (period - ep_term for
+   ports). *)
+type graph = {
+  level : int array;
+      (* forward topological level per pin, -1 outside the data graph;
          every arc strictly increases the level, so the pins of one
          level are mutually independent in both directions *)
-  pl_n_levels : int;
-  (* CSR adjacency with the per-corner derated delays flattened
-     alongside (entry-major: pred entry [j]'s corner-[k] delay sits at
-     [j * nc + k]) — the propagation loops stream flat int/float
-     arrays instead of chasing [edge list] cons cells; each direction
-     streams its own delay image sequentially *)
+  n_levels : int;
+  topo : int array;  (* in-graph pins, topological order *)
+  comb_out : Bytes.t;  (* 1 when the pin's pred row holds cell arcs *)
   pr_off : int array;
   pr_src : int array;
-  pr_cell : Bytes.t;
-      (* per pred entry, 1 when the arc is a cell arc — lets the delay
-         refill stream the CSR without touching the edge records *)
-  pr_delay : float array;
+  pr_su : int array;  (* pred entry -> succ entry of the same arc *)
   su_off : int array;
   su_dst : int array;
-  su_delay : float array;
-  su_pr : int array;
-      (* per succ entry, the pred-CSR entry of the same arc — used only
-         by the delay refill to gather [su_delay] from [pr_delay]; the
-         hot backward passes never touch it *)
-  (* startpoint launch = skew(st_cell) + st_base (st_base alone for
-     skewless startpoints); endpoint required =
-     (clock_period + skew(ep_cell)) - ep_term (period - ep_term when
-     skewless). Float op order matches [launch_arrival] /
-     [endpoint_required] exactly, so recomputed values are
-     bit-identical. *)
-  st_slot : int array;
-  st_cell : int array;
-  st_base : float array;
+  st_slot : int array;  (* pin -> startpoint slot, -1 when none *)
+  st_cell : int array;  (* slot -> launching register, -1 for a port *)
   ep_slot : int array;
-  ep_cell : int array;
-  ep_term : float array;
-  pl_scratch : plan_scratch option array;
-      (* one lazily-created scratch per corner slot; slot 0 doubles as
-         the serial (all-corners-at-once) scratch. A parallel fan-out
-         gives each corner its own slot, so tasks never share mutable
-         scratch. *)
+  ep_cell : int array;  (* slot -> capturing register, -1 for a port *)
+  ep_pin : int array;  (* slot -> pin, ascending *)
+  mutable pr_delay : float array;
+  mutable su_delay : float array;
+  mutable st_base : float array;
+  mutable ep_term : float array;
+}
+
+(* Per-corner propagation scratch: epoch-stamped marks, intrusive
+   per-level lists for the frontier passes, one pin's corner values. *)
+type scratch = {
+  ps_mark : int array;
+  ps_next : int array;
+  ps_head : int array;
+  ps_tmp : float array;
+  mutable ps_epoch : int;
 }
 
 type t = {
@@ -203,38 +110,26 @@ type t = {
   pl : Placement.t;
   dsg : Design.t;
   mutable corners : Corner.t array;
-  mutable n : int; (* pin count covered by the arrays below *)
-  mutable in_graph : bool array;
-  mutable succs : edge list array;
-  mutable preds : edge list array;
-  mutable topo : Types.pin_id array;
-  mutable topo_pos : int array;
-      (** pin -> index in [topo] (-1 outside graph) *)
-  mutable is_start : bool array;
-  mutable ep_of : endpoint_kind option array;
-  mutable startpoints : Types.pin_id list;
-  mutable endpoints : (Types.pin_id * endpoint_kind) list;
-  mutable net_arcs : (Types.net_id, (Types.pin_id * Types.pin_id) list) Hashtbl.t;
-      (** net arcs currently spliced into succs/preds, per net *)
-  skews : (Types.cell_id, float) Hashtbl.t;
-  mutable skew_dense : float array;
-      (* dense mirror of [skews] (0.0 = unset, the default): the
-         propagation passes read a skew per start/endpoint per pass, and
-         an array load there beats a Hashtbl probe *)
+  mutable g : graph;
+  mutable skews : float array;
+      (* useful-skew store, dense by cell id (0.0 = none): every pass
+         reads a skew per start/endpoint, and an array load there beats
+         a hash probe *)
   mutable arrival : plane;
-      (* corner-interleaved: one flat float64 plane indexed
-         [pid * nc + k], so all corners of a pin share a cache line and
-         a pred/succ read costs one miss regardless of the corner
-         count. Reachability is structural — a pin has a finite arrival
-         in one corner iff it does in every corner — so loops may guard
-         on corner 0 alone. *)
   mutable required : plane;
-  mutable delay_gen : int; (* current validity stamp for edge memos *)
-  mutable struct_gen : int;
-      (* bumped whenever graph structure or spliced arc delays change
-         outside an [analyze] (rebuild, grow, incremental refresh);
-         with [delay_gen] it keys the propagation plan's validity *)
-  mutable plan : plan option;
+  (* Pin-geometry snapshot of the in-graph pins: [pin_location] and
+     [pin_cap] walk the design records, so each pin is resolved once
+     per change, not once per incident arc. [analyze] retakes it
+     whole; [refresh] retakes the pins of dirty nets and touched
+     cells. *)
+  mutable px : float array;
+  mutable py : float array;
+  mutable placed : Bytes.t;
+  mutable cap : float array;
+  mutable scratch : scratch option array;
+      (* one lazily-created scratch per corner slot; slot 0 doubles as
+         the serial (all-corners-at-once) scratch, and a parallel
+         fan-out gives each corner its own *)
   mutable reg_cache : (int * Types.cell_id array * int array) option;
       (* design revision, registers in [Design.registers] order, dense
          cell-id -> slot map (-1 for non-registers) *)
@@ -245,11 +140,10 @@ type t = {
   mutable n_refreshes : int;
   (* Epoch-scoped net-load memo. A load folds the sink caps and the
      net's bounding box, and the same net is consulted once per comb
-     arc through its driver plus once per launch seed — [nl_open]
-     starts a fresh epoch at every point where design and placement
-     are frozen for the duration (analyze, plan delay fill, refresh),
-     and [net_load_memo] then computes each net at most once. Query
-     paths outside those windows keep calling the raw [net_load]. *)
+     arc through its driver plus once per launch — [nl_open] starts a
+     fresh epoch wherever design and placement are frozen for the
+     duration (a row fill), and [net_load_memo] then computes each net
+     at most once. *)
   mutable nl_cache : float array;
   mutable nl_stamp : int array;
   mutable nl_epoch : int;
@@ -284,282 +178,294 @@ let corners t = t.corners
 
 let n_corners t = Array.length t.corners
 
+let n_pins t = Array.length t.g.level
+
+let in_graph t pid = pid >= 0 && pid < n_pins t && t.g.level.(pid) >= 0
+
 let write_skew t id s =
-  Hashtbl.replace t.skews id s;
-  if id >= Array.length t.skew_dense then begin
-    let b = Array.make (max (id + 1) (2 * Array.length t.skew_dense)) 0.0 in
-    Array.blit t.skew_dense 0 b 0 (Array.length t.skew_dense);
-    t.skew_dense <- b
+  if id >= Array.length t.skews && s <> 0.0 then begin
+    let b = Array.make (max (id + 1) (2 * Array.length t.skews)) 0.0 in
+    Array.blit t.skews 0 b 0 (Array.length t.skews);
+    t.skews <- b
   end;
-  t.skew_dense.(id) <- s
+  if id < Array.length t.skews then t.skews.(id) <- s
 
 let set_skew t id s =
   write_skew t id s;
   t.analyzed <- false
 
 let skew t id =
-  if id >= 0 && id < Array.length t.skew_dense then
-    Array.unsafe_get t.skew_dense id
+  if id >= 0 && id < Array.length t.skews then Array.unsafe_get t.skews id
   else 0.0
 
 let skew_assignments t =
-  Hashtbl.fold
-    (fun cid s acc -> if s <> 0.0 then (cid, s) :: acc else acc)
-    t.skews []
-  |> List.sort compare
-
-(* The data graph excludes clock distribution and scan pins. *)
-let data_pin dsg pid =
-  let p = Design.pin dsg pid in
-  let c = Design.cell dsg p.Types.p_cell in
-  if c.Types.c_dead then false
-  else
-    match (c.Types.c_kind, p.Types.p_kind) with
-    | Types.Register _, (Types.Pin_d _ | Types.Pin_q _) -> true
-    | Types.Register _, _ -> false
-    | Types.Comb _, (Types.Pin_in _ | Types.Pin_out) -> true
-    | Types.Comb _, _ -> false
-    | Types.Port _, Types.Pin_port -> true
-    | Types.Port _, _ -> false
-    | (Types.Clock_root | Types.Clock_gate _), _ -> false
-
-(* Data net arcs (driver -> each sink) under the current membership;
-   clock nets and nets without an in-graph driver contribute none. *)
-let net_arc_pairs dsg in_graph nid =
-  let net = Design.net dsg nid in
-  if net.Types.n_is_clock then []
-  else
-    match Design.driver dsg nid with
-    | Some d when d < Array.length in_graph && in_graph.(d) ->
-      List.filter_map
-        (fun s -> if in_graph.(s) then Some (d, s) else None)
-        (Design.sinks dsg nid)
-    | Some _ | None -> []
-
-(* The start/endpoint status a pin should have given the current
-   connectivity (None kind for pins that are neither). *)
-let pin_start_end dsg pid =
-  let p = Design.pin dsg pid in
-  let c = Design.cell dsg p.Types.p_cell in
-  match (c.Types.c_kind, p.Types.p_kind) with
-  | Types.Register _, Types.Pin_q _ -> (p.Types.p_net <> None, None)
-  | Types.Register _, Types.Pin_d _ ->
-    (false, if p.Types.p_net <> None then Some (Ep_reg_d p.Types.p_cell) else None)
-  | Types.Port Types.In_port, _ -> (true, None)
-  | Types.Port Types.Out_port, _ ->
-    (false, if p.Types.p_net <> None then Some Ep_out_port else None)
-  | _, _ -> (false, None)
-
-type graph_parts = {
-  g_n : int;
-  g_in_graph : bool array;
-  g_succs : edge list array;
-  g_preds : edge list array;
-  g_topo : Types.pin_id array;
-  g_topo_pos : int array;
-  g_is_start : bool array;
-  g_ep_of : endpoint_kind option array;
-  g_startpoints : Types.pin_id list;
-  g_endpoints : (Types.pin_id * endpoint_kind) list;
-  g_net_arcs : (Types.net_id, (Types.pin_id * Types.pin_id) list) Hashtbl.t;
-}
-
-let compute_graph dsg =
-  let n = Design.n_pins dsg in
-  let in_graph = Array.make n false in
-  for pid = 0 to n - 1 do
-    in_graph.(pid) <- data_pin dsg pid
+  let acc = ref [] in
+  for cid = Array.length t.skews - 1 downto 0 do
+    let s = t.skews.(cid) in
+    if s <> 0.0 then acc := (cid, s) :: !acc
   done;
-  let succs = Array.make n [] in
-  let preds = Array.make n [] in
-  (* in-degrees are tallied as arcs are created, so Kahn below never
-     has to re-walk the pred lists *)
-  let indeg = Array.make n 0 in
-  let add_arc ~cell src dst =
-    let e = mk_edge ~cell src dst in
-    succs.(src) <- e :: succs.(src);
-    preds.(dst) <- e :: preds.(dst);
-    indeg.(dst) <- indeg.(dst) + 1
+  !acc
+
+let delay_arrays g nc =
+  let ne = Array.length g.pr_src in
+  g.pr_delay <- Array.make (ne * nc) 0.0;
+  g.su_delay <- Array.make (ne * nc) 0.0;
+  g.st_base <- Array.make (Array.length g.st_cell * nc) 0.0;
+  g.ep_term <- Array.make (Array.length g.ep_cell * nc) 0.0
+
+(* Witness of a cycle Kahn could not resolve: every unresolved pin has
+   an unresolved predecessor, so walking predecessors from any of them
+   must close a loop. Reported in data-flow order, closed by repeating
+   the entry pin. *)
+let cycle_witness ~pr_off ~pr_src ~indeg start =
+  let seen = Hashtbl.create 16 in
+  let rec walk pid path =
+    if Hashtbl.mem seen pid then begin
+      (* [path] holds the predecessor walk in reverse; the loop is the
+         segment from the first visit of [pid] onward, closed by [pid]
+         itself, flipped into data-flow order *)
+      let rec keep_from = function
+        | p :: _ as l when p = pid -> l
+        | _ :: tl -> keep_from tl
+        | [] -> []
+      in
+      List.rev (keep_from (List.rev path) @ [ pid ])
+    end
+    else begin
+      Hashtbl.add seen pid ();
+      let rec find j =
+        if j >= pr_off.(pid + 1) then None
+        else if indeg.(pr_src.(j)) > 0 then Some pr_src.(j)
+        else find (j + 1)
+      in
+      match find pr_off.(pid) with
+      | Some s -> walk s (pid :: path)
+      | None -> List.rev (pid :: path)
+    end
   in
-  (* net arcs *)
-  let net_arcs = Hashtbl.create 1024 in
-  for nid = 0 to Design.n_nets dsg - 1 do
-    match net_arc_pairs dsg in_graph nid with
-    | [] -> ()
-    | pairs ->
-      Hashtbl.replace net_arcs nid pairs;
-      List.iter (fun (d, s) -> add_arc ~cell:false d s) pairs
-  done;
-  (* comb cell arcs *)
-  List.iter
-    (fun cid ->
-      let c = Design.cell dsg cid in
-      match c.Types.c_kind with
-      | Types.Comb _ ->
-        (* arcs from every input to every output; the double walk over
-           [c_pins] costs the same pin lookups as a partition without
-           allocating the two intermediate lists *)
-        List.iter
-          (fun o ->
-            if (Design.pin dsg o).Types.p_dir = Types.Output && in_graph.(o)
-            then
-              List.iter
-                (fun i ->
-                  if
-                    (Design.pin dsg i).Types.p_dir = Types.Input
-                    && in_graph.(i)
-                  then add_arc ~cell:true i o)
-                c.Types.c_pins)
-          c.Types.c_pins
-      | Types.Register _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _
-        ->
-        ())
-    (Design.live_cells dsg);
-  (* start / end points *)
-  let startpoints = ref [] in
-  let endpoints = ref [] in
+  walk start []
+
+(* The whole graph from the design in a few linear passes: classify the
+   pins (the data graph excludes clock distribution and scan pins),
+   resolve each data net's driver once, cut the pred CSR, transpose it,
+   then Kahn over the CSR for the topological order and levels. Pure:
+   a cycle raises before anything is handed back. *)
+let compute_graph dsg ~nc =
+  let n = Design.n_pins dsg in
+  let in_g = Bytes.make n '\000' in
+  let comb_out = Bytes.make n '\000' in
+  let st_slot = Array.make n (-1) and ep_slot = Array.make n (-1) in
+  let st_cell = ivec_create () and ep_cell = ivec_create () in
+  let ep_pin = ivec_create () in
+  let n_in = ref 0 in
   for pid = 0 to n - 1 do
-    if in_graph.(pid) then begin
-      let p = Design.pin dsg pid in
-      let c = Design.cell dsg p.Types.p_cell in
+    let p = Design.pin dsg pid in
+    let c = Design.cell dsg p.Types.p_cell in
+    let wired = p.Types.p_net <> None in
+    let data =
+      (not c.Types.c_dead)
+      &&
       match (c.Types.c_kind, p.Types.p_kind) with
       | Types.Register _, Types.Pin_q _ ->
-        if p.Types.p_net <> None then startpoints := pid :: !startpoints
+        if wired then begin
+          st_slot.(pid) <- st_cell.iv_len;
+          ivec_push st_cell p.Types.p_cell
+        end;
+        true
       | Types.Register _, Types.Pin_d _ ->
-        if p.Types.p_net <> None then
-          endpoints := (pid, Ep_reg_d p.Types.p_cell) :: !endpoints
-      | Types.Port Types.In_port, _ -> startpoints := pid :: !startpoints
-      | Types.Port Types.Out_port, _ ->
-        if p.Types.p_net <> None then
-          endpoints := (pid, Ep_out_port) :: !endpoints
-      | _, _ -> ()
+        if wired then begin
+          ep_slot.(pid) <- ep_cell.iv_len;
+          ivec_push ep_cell p.Types.p_cell;
+          ivec_push ep_pin pid
+        end;
+        true
+      | Types.Comb _, Types.Pin_in _ -> true
+      | Types.Comb _, Types.Pin_out ->
+        Bytes.unsafe_set comb_out pid '\001';
+        true
+      | Types.Port Types.In_port, Types.Pin_port ->
+        st_slot.(pid) <- st_cell.iv_len;
+        ivec_push st_cell (-1);
+        true
+      | Types.Port Types.Out_port, Types.Pin_port ->
+        if wired then begin
+          ep_slot.(pid) <- ep_cell.iv_len;
+          ivec_push ep_cell (-1);
+          ivec_push ep_pin pid
+        end;
+        true
+      | _, _ -> false
+    in
+    if data then begin
+      Bytes.unsafe_set in_g pid '\001';
+      incr n_in
     end
   done;
-  (* in-place Kahn: [topo.(0..k)] doubles as the ready queue — resolved
-     pins are final in [topo] the moment they are appended, so no
-     separate FIFO (or its per-element allocation) is needed *)
-  let topo = Array.make n (-1) in
+  let is_in pid = Bytes.unsafe_get in_g pid = '\001' in
+  (* net arcs: each in-graph sink of a data net learns its driver *)
+  let drv = Array.make n (-1) in
+  for nid = 0 to Design.n_nets dsg - 1 do
+    let net = Design.net dsg nid in
+    if not net.Types.n_is_clock then
+      match Design.driver dsg nid with
+      | Some d when is_in d ->
+        List.iter
+          (fun s ->
+            if is_in s && (Design.pin dsg s).Types.p_dir = Types.Input then
+              drv.(s) <- d)
+          net.Types.n_pins
+      | Some _ | None -> ()
+  done;
+  (* cell arcs: every in-graph input of a comb cell into its output *)
+  let iter_inputs pid f =
+    List.iter
+      (fun i ->
+        if is_in i && (Design.pin dsg i).Types.p_dir = Types.Input then f i)
+      (Design.pins_of dsg (Design.pin dsg pid).Types.p_cell)
+  in
+  let pr_off = Array.make (n + 1) 0 in
+  for pid = 0 to n - 1 do
+    let deg =
+      if drv.(pid) >= 0 then 1
+      else if Bytes.unsafe_get comb_out pid = '\001' then begin
+        let k = ref 0 in
+        iter_inputs pid (fun _ -> incr k);
+        !k
+      end
+      else 0
+    in
+    pr_off.(pid + 1) <- pr_off.(pid) + deg
+  done;
+  let ne = pr_off.(n) in
+  let pr_src = Array.make ne 0 in
+  for pid = 0 to n - 1 do
+    if drv.(pid) >= 0 then pr_src.(pr_off.(pid)) <- drv.(pid)
+    else if Bytes.unsafe_get comb_out pid = '\001' then begin
+      let j = ref pr_off.(pid) in
+      iter_inputs pid (fun i ->
+          pr_src.(!j) <- i;
+          incr j)
+    end
+  done;
+  let su_off = Array.make (n + 1) 0 in
+  Array.iter (fun s -> su_off.(s + 1) <- su_off.(s + 1) + 1) pr_src;
+  for pid = 0 to n - 1 do
+    su_off.(pid + 1) <- su_off.(pid + 1) + su_off.(pid)
+  done;
+  let cur = Array.sub su_off 0 (max n 0) in
+  let su_dst = Array.make ne 0 and pr_su = Array.make ne 0 in
+  for pid = 0 to n - 1 do
+    for j = pr_off.(pid) to pr_off.(pid + 1) - 1 do
+      let s = pr_src.(j) in
+      let e = cur.(s) in
+      cur.(s) <- e + 1;
+      su_dst.(e) <- pid;
+      pr_su.(j) <- e
+    done
+  done;
+  (* in-place Kahn: [topo.(0..k)] doubles as the ready queue; a pin's
+     level is final when it is dequeued, since every predecessor was
+     dequeued before it *)
+  let indeg = Array.init n (fun pid -> pr_off.(pid + 1) - pr_off.(pid)) in
+  let topo = Array.make !n_in 0 in
+  let level = Array.make n (-1) in
   let k = ref 0 in
   for pid = 0 to n - 1 do
-    if in_graph.(pid) && indeg.(pid) = 0 then begin
+    if is_in pid && indeg.(pid) = 0 then begin
       topo.(!k) <- pid;
       incr k
     end
   done;
+  let n_levels = ref 0 in
   let i = ref 0 in
   while !i < !k do
-    let pid = topo.(!i) in
+    let q = topo.(!i) in
     incr i;
-    List.iter
-      (fun e ->
-        let d = indeg.(e.e_dst) - 1 in
-        indeg.(e.e_dst) <- d;
-        if d = 0 then begin
-          topo.(!k) <- e.e_dst;
-          incr k
-        end)
-      succs.(pid)
+    let l = ref 0 in
+    for j = pr_off.(q) to pr_off.(q + 1) - 1 do
+      let ls = level.(pr_src.(j)) + 1 in
+      if ls > !l then l := ls
+    done;
+    level.(q) <- !l;
+    if !l + 1 > !n_levels then n_levels := !l + 1;
+    for e = su_off.(q) to su_off.(q + 1) - 1 do
+      let d = su_dst.(e) in
+      let r = indeg.(d) - 1 in
+      indeg.(d) <- r;
+      if r = 0 then begin
+        topo.(!k) <- d;
+        incr k
+      end
+    done
   done;
-  let n_in_graph = ref 0 in
-  Array.iter (fun b -> if b then incr n_in_graph) in_graph;
-  if !k <> !n_in_graph then begin
-    (* Kahn left some pins unresolved: every one of them has an
-       un-decremented incoming edge, i.e. an unresolved predecessor, so
-       walking predecessors from any of them must close a loop. The
-       witness is reported in data-flow (successor) order, closed by
-       repeating the entry pin. *)
+  if !k <> !n_in then begin
     let start = ref (-1) in
     (try
        for pid = 0 to n - 1 do
-         if in_graph.(pid) && indeg.(pid) > 0 then begin
+         if is_in pid && indeg.(pid) > 0 then begin
            start := pid;
            raise Exit
          end
        done
      with Exit -> ());
-    let witness =
-      if !start < 0 then []
-      else begin
-        let seen = Hashtbl.create 16 in
-        let rec walk pid path =
-          if Hashtbl.mem seen pid then begin
-            (* [path] holds the predecessor walk in reverse; the loop is
-               the segment from the first visit of [pid] onward, closed
-               by [pid] itself, flipped into data-flow order *)
-            let rec keep_from = function
-              | p :: _ as l when p = pid -> l
-              | _ :: tl -> keep_from tl
-              | [] -> []
-            in
-            List.rev (keep_from (List.rev path) @ [ pid ])
-          end
-          else begin
-            Hashtbl.add seen pid ();
-            match List.find_opt (fun e -> indeg.(e.e_src) > 0) preds.(pid) with
-            | Some e -> walk e.e_src (pid :: path)
-            | None -> List.rev (pid :: path)
-          end
-        in
-        walk !start []
-      end
-    in
-    raise (Combinational_cycle witness)
+    raise
+      (Combinational_cycle
+         (if !start < 0 then [] else cycle_witness ~pr_off ~pr_src ~indeg !start))
   end;
-  let topo = Array.sub topo 0 !k in
-  let topo_pos = Array.make n (-1) in
-  Array.iteri (fun idx pid -> topo_pos.(pid) <- idx) topo;
-  let is_start = Array.make n false in
-  List.iter (fun pid -> is_start.(pid) <- true) !startpoints;
-  let ep_of = Array.make n None in
-  List.iter (fun (pid, kind) -> ep_of.(pid) <- Some kind) !endpoints;
-  {
-    g_n = n;
-    g_in_graph = in_graph;
-    g_succs = succs;
-    g_preds = preds;
-    g_topo = topo;
-    g_topo_pos = topo_pos;
-    g_is_start = is_start;
-    g_ep_of = ep_of;
-    g_startpoints = !startpoints;
-    g_endpoints = !endpoints;
-    g_net_arcs = net_arcs;
-  }
+  let sub v = Array.sub v.iv_a 0 v.iv_len in
+  let g =
+    {
+      level;
+      n_levels = !n_levels;
+      topo;
+      comb_out;
+      pr_off;
+      pr_src;
+      pr_su;
+      su_off;
+      su_dst;
+      st_slot;
+      st_cell = sub st_cell;
+      ep_slot;
+      ep_cell = sub ep_cell;
+      ep_pin = sub ep_pin;
+      pr_delay = [||];
+      su_delay = [||];
+      st_base = [||];
+      ep_term = [||];
+    }
+  in
+  delay_arrays g nc;
+  g
 
 let m_corners = Mbr_obs.Metrics.counter "sta.corners"
+
+let build_graph t =
+  Mbr_obs.Trace.with_span ~name:"sta.graph" (fun () ->
+      compute_graph t.dsg ~nc:(Array.length t.corners))
 
 let build ?(config = default_config) ?(corners = Corner.default) pl =
   if Array.length corners = 0 then
     invalid_arg "Sta.build: empty corner set";
   let dsg = Placement.design pl in
-  let g = compute_graph dsg in
-  (* [compute_graph]'s table is fresh per call — own it directly *)
-  let net_arcs = g.g_net_arcs in
   let nc = Array.length corners in
+  let g = compute_graph dsg ~nc in
+  let n = Array.length g.level in
   Mbr_obs.Metrics.incr ~by:nc m_corners;
   {
     cfg = config;
     pl;
     dsg;
     corners = Array.copy corners;
-    n = g.g_n;
-    in_graph = g.g_in_graph;
-    succs = g.g_succs;
-    preds = g.g_preds;
-    topo = g.g_topo;
-    topo_pos = g.g_topo_pos;
-    is_start = g.g_is_start;
-    ep_of = g.g_ep_of;
-    startpoints = g.g_startpoints;
-    endpoints = g.g_endpoints;
-    net_arcs;
-    skews = Hashtbl.create 64;
-    skew_dense = [||];
-    arrival = plane_make (g.g_n * nc) neg_infinity;
-    required = plane_make (g.g_n * nc) infinity;
-    delay_gen = 0;
-    struct_gen = 0;
-    plan = None;
+    g;
+    skews = [||];
+    arrival = plane_make (n * nc) neg_infinity;
+    required = plane_make (n * nc) infinity;
+    px = Array.make n 0.0;
+    py = Array.make n 0.0;
+    placed = Bytes.make n '\000';
+    cap = Array.make n 0.0;
+    scratch = Array.make nc None;
     reg_cache = None;
     analyzed = false;
     dsg_cursor = Design.revision dsg;
@@ -575,11 +481,44 @@ let set_corners t cs =
   if Array.length cs = 0 then invalid_arg "Sta.set_corners: empty corner set";
   t.corners <- Array.copy cs;
   let nc = Array.length cs in
-  t.arrival <- plane_make (t.n * nc) neg_infinity;
-  t.required <- plane_make (t.n * nc) infinity;
-  t.plan <- None;
+  let n = n_pins t in
+  t.arrival <- plane_make (n * nc) neg_infinity;
+  t.required <- plane_make (n * nc) infinity;
+  delay_arrays t.g nc;
+  t.scratch <- Array.make nc None;
   t.analyzed <- false;
   Mbr_obs.Metrics.incr ~by:nc m_corners
+
+(* Adopt a freshly computed graph. Pin ids are stable and never
+   reused, so the planes and the snapshot keep their prefix: values of
+   pins the edit batch did not reach stay valid as they are. *)
+let install t g =
+  let n = n_pins t and n' = Array.length g.level in
+  if n' > n then begin
+    let nc = Array.length t.corners in
+    let grow_plane pl def =
+      let b = plane_make (n' * nc) def in
+      if n > 0 then
+        Bigarray.Array1.blit
+          (Bigarray.Array1.sub pl 0 (n * nc))
+          (Bigarray.Array1.sub b 0 (n * nc));
+      b
+    in
+    t.arrival <- grow_plane t.arrival neg_infinity;
+    t.required <- grow_plane t.required infinity;
+    let grow a def =
+      let b = Array.make n' def in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.px <- grow t.px 0.0;
+    t.py <- grow t.py 0.0;
+    t.cap <- grow t.cap 0.0;
+    t.placed <- Bytes.extend t.placed 0 (n' - n);
+    Bytes.fill t.placed n (n' - n) '\000'
+  end;
+  t.g <- g;
+  t.n_full_builds <- t.n_full_builds + 1
 
 (* Packed register index, cached per design revision: the registers in
    [Design.registers] order plus a dense cell-id -> slot map. Shared by
@@ -599,7 +538,7 @@ let register_index t =
     t.reg_cache <- Some (rev, regs, slot);
     (regs, slot)
 
-(* ---- delay computation ---- *)
+(* ---- delays ---- *)
 
 let net_load t nid =
   let dsg = t.dsg in
@@ -632,1321 +571,552 @@ let net_load_memo t nid =
     v
   end
 
-let wire_delay t src dst =
-  let dsg = t.dsg in
-  let psrc = Design.pin dsg src and pdst = Design.pin dsg dst in
-  match
-    ( Placement.location_opt t.pl psrc.Types.p_cell,
-      Placement.location_opt t.pl pdst.Types.p_cell )
-  with
-  | Some _, Some _ ->
-    let a = Placement.pin_location t.pl src in
-    let b = Placement.pin_location t.pl dst in
-    let len = Point.manhattan a b in
-    let sink_cap = Design.pin_cap dsg dst in
-    t.cfg.wire_res *. len *. ((t.cfg.wire_cap *. len /. 2.0) +. sink_cap)
-  | _, _ -> 0.0
+let pin_net_load t pn =
+  match pn.Types.p_net with Some nid -> net_load_memo t nid | None -> 0.0
 
-(* Underated arc delay; corners scale it multiplicatively (wire factor
-   for net arcs, cell factor for comb arcs). *)
-let compute_edge_base_delay t e =
-  if not e.e_cell then wire_delay t e.e_src e.e_dst
-  else begin
-    let p = Design.pin t.dsg e.e_dst in
-    let c = Design.cell t.dsg p.Types.p_cell in
-    match c.Types.c_kind with
-    | Types.Comb a ->
-      let load =
-        match p.Types.p_net with
-        | Some nid -> net_load_memo t nid
-        | None -> 0.0
-      in
-      a.Types.intrinsic +. (a.Types.drive_res *. load)
-    | Types.Register _ | Types.Clock_root | Types.Clock_gate _
-    | Types.Port _ ->
-      0.0
+let snap_pin t pid =
+  let pn = Design.pin t.dsg pid in
+  if Placement.is_placed t.pl pn.Types.p_cell then begin
+    let l = Placement.pin_location t.pl pid in
+    t.px.(pid) <- l.Mbr_geom.Point.x;
+    t.py.(pid) <- l.Mbr_geom.Point.y;
+    Bytes.unsafe_set t.placed pid '\001';
+    t.cap.(pid) <- Design.pin_cap t.dsg pid
   end
+  else Bytes.unsafe_set t.placed pid '\000'
 
-let edge_delays t e =
-  let nc = Array.length t.corners in
-  if e.e_gen = t.delay_gen && Array.length e.e_delay = nc then e.e_delay
-  else begin
-    let base = compute_edge_base_delay t e in
-    let d = if Array.length e.e_delay = nc then e.e_delay else Array.make nc 0.0 in
-    if e.e_cell then
+(* One pin's row of the numeric graph, off the snapshot: the derated
+   delays of every arc into it (both images), plus its launch base
+   when it is a startpoint and its required term when it is an
+   endpoint. The only home of the delay model — underated wire delay
+   to a sink at Manhattan distance L is r·L·(c·L/2 + C_sink), a cell
+   arc costs the destination cell's intrinsic + drive × output load,
+   a register launches clk->q into its Q load; corners scale wire,
+   cell and setup terms multiplicatively. Must run inside an
+   [nl_open] epoch with the snapshot current for the row's pins. *)
+let fill_pin t pid =
+  let g = t.g and nc = Array.length t.corners and cfg = t.cfg in
+  let j0 = g.pr_off.(pid) and j1 = g.pr_off.(pid + 1) in
+  if j1 > j0 then begin
+    let cell = Bytes.unsafe_get g.comb_out pid = '\001' in
+    let cell_base =
+      if not cell then 0.0
+      else begin
+        let pn = Design.pin t.dsg pid in
+        match (Design.cell t.dsg pn.Types.p_cell).Types.c_kind with
+        | Types.Comb a -> a.Types.intrinsic +. (a.Types.drive_res *. pin_net_load t pn)
+        | Types.Register _ | Types.Clock_root | Types.Clock_gate _
+        | Types.Port _ ->
+          0.0
+      end
+    in
+    for j = j0 to j1 - 1 do
+      let base =
+        if cell then cell_base
+        else begin
+          let s = g.pr_src.(j) in
+          if
+            Bytes.unsafe_get t.placed s = '\001'
+            && Bytes.unsafe_get t.placed pid = '\001'
+          then begin
+            let len =
+              Float.abs (t.px.(s) -. t.px.(pid)) +. Float.abs (t.py.(s) -. t.py.(pid))
+            in
+            cfg.wire_res *. len *. ((cfg.wire_cap *. len /. 2.0) +. t.cap.(pid))
+          end
+          else 0.0
+        end
+      in
+      let b = j * nc and sb = g.pr_su.(j) * nc in
       for k = 0 to nc - 1 do
-        d.(k) <- base *. t.corners.(k).Corner.cell
+        let c = t.corners.(k) in
+        let d = base *. if cell then c.Corner.cell else c.Corner.wire in
+        g.pr_delay.(b + k) <- d;
+        g.su_delay.(sb + k) <- d
       done
+    done
+  end;
+  let sl = g.st_slot.(pid) in
+  if sl >= 0 then begin
+    let cid = g.st_cell.(sl) in
+    if cid >= 0 then begin
+      let a = Design.reg_attrs t.dsg cid in
+      let load = pin_net_load t (Design.pin t.dsg pid) in
+      let cq = Cell_lib.clk_to_q a.Types.lib_cell ~load in
+      for k = 0 to nc - 1 do
+        g.st_base.((sl * nc) + k) <- cq *. t.corners.(k).Corner.cell
+      done
+    end
     else
       for k = 0 to nc - 1 do
-        d.(k) <- base *. t.corners.(k).Corner.wire
-      done;
-    e.e_delay <- d;
-    e.e_gen <- t.delay_gen;
-    d
+        g.st_base.((sl * nc) + k) <- cfg.input_delay
+      done
+  end;
+  let el = g.ep_slot.(pid) in
+  if el >= 0 then begin
+    let cid = g.ep_cell.(el) in
+    if cid >= 0 then begin
+      let setup = (Design.reg_attrs t.dsg cid).Types.lib_cell.Cell_lib.setup in
+      for k = 0 to nc - 1 do
+        g.ep_term.((el * nc) + k) <- setup *. t.corners.(k).Corner.setup
+      done
+    end
+    else
+      for k = 0 to nc - 1 do
+        g.ep_term.((el * nc) + k) <- cfg.output_delay
+      done
   end
 
-let clock_arrival t cid = skew t cid
+(* ---- propagation ----
 
-let launch_arrival t k pid =
-  (* arrival at a startpoint, under corner [k] *)
-  let p = Design.pin t.dsg pid in
-  let c = Design.cell t.dsg p.Types.p_cell in
-  match (c.Types.c_kind, p.Types.p_kind) with
-  | Types.Register a, Types.Pin_q _ ->
-    let load =
-      match p.Types.p_net with Some nid -> net_load_memo t nid | None -> 0.0
-    in
-    clock_arrival t p.Types.p_cell
-    +. (Cell_lib.clk_to_q a.Types.lib_cell ~load *. t.corners.(k).Corner.cell)
-  | Types.Port Types.In_port, _ -> t.cfg.input_delay
-  | (Types.Register _ | Types.Comb _ | Types.Clock_root | Types.Clock_gate _
-    | Types.Port Types.Out_port), _ ->
-    0.0
+   One per-pin recompute body per direction: a pin's value over corners
+   [k0..k1] from its launch/required term and its final neighbours, in
+   one fixed float-op order, so every sweep shape reaches the same
+   fixpoint bit for bit. Returns whether any corner moved. *)
 
-let endpoint_required t k (pid, kind) =
-  ignore pid;
-  match kind with
-  | Ep_reg_d cid ->
-    let a = Design.reg_attrs t.dsg cid in
-    t.cfg.clock_period +. clock_arrival t cid
-    -. (a.Types.lib_cell.Cell_lib.setup *. t.corners.(k).Corner.setup)
-  | Ep_out_port -> t.cfg.clock_period -. t.cfg.output_delay
-
-(* ---- levelized propagation plan ----
-
-   A CSR image of the graph with per-corner delays flattened alongside,
-   a forward topological level per pin, and per-startpoint/endpoint
-   launch/required constants. The plan is a pure function of
-   (structure, delays, corners) — keyed on [struct_gen]/[delay_gen]/
-   corner count — and serves both the full analysis and every batched
-   skew sweep: one build per structural generation, one delay refill
-   per numeric generation.
-
-   Propagation over the plan comes in two shapes with one per-pin
-   formula (recompute from final predecessors, in the full analysis's
-   float op order, so fixpoints are bit-identical — property-tested):
-
-   - frontier passes ([forward_pass]/[backward_pass]) seed the union
-     frontier of a move batch (epoch-stamped marks, so a pin enqueues
-     once no matter how many moved registers reach it) and process it
-     level by level, pushing a pin's successors only when its value
-     actually moved;
-   - markless full sweeps ([forward_full]/[backward_full]) recompute
-     every in-graph pin once in topological order (reverse for
-     requireds) with no frontier bookkeeping at all — cheaper than the
-     frontier machinery as soon as the frontier would cover most of
-     the graph, and the backbone of [analyze]. *)
-
-(* (Re)compute the numeric half of a plan against the current delays:
-   per-arc derated delays into [pr_delay]/[su_delay], launch bases
-   into [st_base], skewless required terms into [ep_term]. The CSR
-   layout itself is keyed by [pl_struct_gen] alone, so a structurally-
-   valid plan absorbs an [analyze]'s delay-generation bump with this
-   refill - no rebuild. *)
-let plan_fill_delays t p =
-  Mbr_obs.Trace.with_span ~name:"sta.plan.delays" @@ fun () ->
-  nl_open t;
-  let nc = p.pl_nc in
-  (* pin geometry snapshot: [pin_location] and [pin_cap] walk the
-     design records (cell kind match, lib offsets), so resolve each
-     in-graph pin once up front instead of once per incident arc — a
-     driver with fanout f is otherwise resolved f times *)
-  let px = Array.make t.n 0.0 and py = Array.make t.n 0.0 in
-  let placed = Array.make t.n false in
-  let cap = Array.make t.n 0.0 in
-  Mbr_obs.Trace.with_span ~name:"sta.plan.snap" (fun () ->
-  for pid = 0 to t.n - 1 do
-     if t.in_graph.(pid) then begin
-       let pn = Design.pin t.dsg pid in
-       match Placement.location_opt t.pl pn.Types.p_cell with
-       | Some _ ->
-         let l = Placement.pin_location t.pl pid in
-         px.(pid) <- l.Point.x;
-         py.(pid) <- l.Point.y;
-         placed.(pid) <- true;
-         cap.(pid) <- Design.pin_cap t.dsg pid
-       | None -> ()
-     end
-   done);
-  (* pred side: each arc's derated delays straight into the CSR — same
-     float ops (same order) as [edge_delays], but no per-edge memo
-     array is allocated (the lazy memo still serves the refresh
-     worklist) *)
-  (* the dst cell's intrinsic + drive into its output load — shared by
-     every cell arc into [pid]; same float ops as the cell branch of
-     [compute_edge_base_delay] *)
-  let comb_base pid =
-    let pn = Design.pin t.dsg pid in
-    let c = Design.cell t.dsg pn.Types.p_cell in
-    match c.Types.c_kind with
-    | Types.Comb a ->
-      let load =
-        match pn.Types.p_net with
-        | Some nid -> net_load_memo t nid
-        | None -> 0.0
-      in
-      a.Types.intrinsic +. (a.Types.drive_res *. load)
-    | Types.Register _ | Types.Clock_root | Types.Clock_gate _
-    | Types.Port _ ->
-      0.0
-  in
-  (* streamed off the CSR + snapshot arrays: no edge record or cons
-      cell is touched, and the per-destination cell base is computed
-      once, not once per input pin *)
-   for pid = 0 to t.n - 1 do
-     let j1 = Array.unsafe_get p.pr_off (pid + 1) in
-     let cell_base = ref nan in
-     for j = Array.unsafe_get p.pr_off pid to j1 - 1 do
-       let is_cell = Bytes.unsafe_get p.pr_cell j = '\001' in
-       let base =
-         if is_cell then begin
-           if Float.is_nan !cell_base then cell_base := comb_base pid;
-           !cell_base
-         end
-         else begin
-           let s = Array.unsafe_get p.pr_src j in
-           if Array.unsafe_get placed s && Array.unsafe_get placed pid then begin
-             (* [wire_delay] verbatim, off the snapshot *)
-             let len =
-               Float.abs (Array.unsafe_get px s -. Array.unsafe_get px pid)
-               +. Float.abs (Array.unsafe_get py s -. Array.unsafe_get py pid)
-             in
-             t.cfg.wire_res *. len
-             *. ((t.cfg.wire_cap *. len /. 2.0) +. Array.unsafe_get cap pid)
-           end
-           else 0.0
-         end
-       in
-       let b = j * nc in
-       if is_cell then
-         for k = 0 to nc - 1 do
-           p.pr_delay.(b + k) <- base *. t.corners.(k).Corner.cell
-         done
-       else
-         for k = 0 to nc - 1 do
-           p.pr_delay.(b + k) <- base *. t.corners.(k).Corner.wire
-         done
-     done
-   done;
-  (* succ side: the same numbers gathered through [su_pr], so the
-     scattered read happens once per refill and the backward passes
-     stream [su_delay] sequentially *)
-  let ns = p.su_off.(Array.length p.su_off - 1) in
-  for j = 0 to ns - 1 do
-    let s = p.su_pr.(j) * nc and d = j * nc in
-    for k = 0 to nc - 1 do
-      p.su_delay.(d + k) <- p.pr_delay.(s + k)
+let relax_arrival t g tmp ~k0 ~k1 q =
+  let nc = Array.length t.corners in
+  let arr = t.arrival in
+  let sl = Array.unsafe_get g.st_slot q in
+  if sl >= 0 then begin
+    let cid = Array.unsafe_get g.st_cell sl in
+    if cid >= 0 then begin
+      let sk = skew t cid in
+      for k = k0 to k1 do
+        Array.unsafe_set tmp k (sk +. Array.unsafe_get g.st_base ((sl * nc) + k))
+      done
+    end
+    else
+      for k = k0 to k1 do
+        Array.unsafe_set tmp k (Array.unsafe_get g.st_base ((sl * nc) + k))
+      done
+  end
+  else
+    for k = k0 to k1 do
+      Array.unsafe_set tmp k neg_infinity
+    done;
+  for j = Array.unsafe_get g.pr_off q to Array.unsafe_get g.pr_off (q + 1) - 1 do
+    let sb = Array.unsafe_get g.pr_src j * nc in
+    let b = j * nc in
+    for k = k0 to k1 do
+      let a = pget arr (sb + k) +. Array.unsafe_get g.pr_delay (b + k) in
+      if a > Array.unsafe_get tmp k then Array.unsafe_set tmp k a
     done
   done;
-  List.iteri
-    (fun i pid ->
-      let pn = Design.pin t.dsg pid in
-      let c = Design.cell t.dsg pn.Types.p_cell in
-      match (c.Types.c_kind, pn.Types.p_kind) with
-      | Types.Register a, Types.Pin_q _ ->
-        p.st_cell.(i) <- pn.Types.p_cell;
-        let load =
-          match pn.Types.p_net with
-          | Some nid -> net_load_memo t nid
-          | None -> 0.0
-        in
-        let cq = Cell_lib.clk_to_q a.Types.lib_cell ~load in
-        for k = 0 to nc - 1 do
-          p.st_base.((i * nc) + k) <- cq *. t.corners.(k).Corner.cell
-        done
-      | Types.Port Types.In_port, _ ->
-        for k = 0 to nc - 1 do
-          p.st_base.((i * nc) + k) <- t.cfg.input_delay
-        done
-      | _, _ -> ())
-    t.startpoints;
-  List.iteri
-    (fun i (_, kind) ->
-      match kind with
-      | Ep_reg_d cid ->
-        p.ep_cell.(i) <- cid;
-        let a = Design.reg_attrs t.dsg cid in
-        let setup = a.Types.lib_cell.Cell_lib.setup in
-        for k = 0 to nc - 1 do
-          p.ep_term.((i * nc) + k) <- setup *. t.corners.(k).Corner.setup
-        done
-      | Ep_out_port ->
-        for k = 0 to nc - 1 do
-          p.ep_term.((i * nc) + k) <- t.cfg.output_delay
-        done)
-    t.endpoints
-
-let build_plan t =
-  Mbr_obs.Trace.with_span ~name:"sta.plan.build"
-    ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
-  @@ fun () ->
-  let n = t.n in
-  let nc = Array.length t.corners in
-  let pr_off = Array.make (n + 1) 0 and su_off = Array.make (n + 1) 0 in
-  for pid = 0 to n - 1 do
-    pr_off.(pid + 1) <- pr_off.(pid) + List.length t.preds.(pid);
-    su_off.(pid + 1) <- su_off.(pid) + List.length t.succs.(pid)
+  let moved = ref false in
+  let qb = q * nc in
+  for k = k0 to k1 do
+    let v = Array.unsafe_get tmp k in
+    if v <> pget arr (qb + k) then begin
+      moved := true;
+      pset arr (qb + k) v
+    end
   done;
-  let ne = pr_off.(n) in
-  let pr_src = Array.make (max ne 1) 0 in
-  let pr_cell = Bytes.make (max ne 1) '\000' in
-  let pr_delay = Array.make (max (ne * nc) 1) 0.0 in
-  let su_dst = Array.make (max su_off.(n) 1) 0 in
-  let su_delay = Array.make (max (su_off.(n) * nc) 1) 0.0 in
-  let su_pr = Array.make (max su_off.(n) 1) 0 in
-  (* an arc is one shared record on both adjacency lists, and the pred
-     CSR mirrors [t.preds] list order — so the arc's pred entry is its
-     physical position in [t.preds.(e_dst)], found by a short scan
-     (in-degrees are small: one net driver or a handful of cell ins) *)
-  let pr_entry_of e =
-    let rec find k = function
-      | e' :: tl -> if e' == e then k else find (k + 1) tl
-      | [] -> assert false
-    in
-    find pr_off.(e.e_dst) t.preds.(e.e_dst)
-  in
-  for pid = 0 to n - 1 do
-    let j = ref pr_off.(pid) in
-    List.iter
-      (fun e ->
-        pr_src.(!j) <- e.e_src;
-        if e.e_cell then Bytes.unsafe_set pr_cell !j '\001';
-        incr j)
-      t.preds.(pid);
-    let j = ref su_off.(pid) in
-    List.iter
-      (fun e ->
-        su_dst.(!j) <- e.e_dst;
-        su_pr.(!j) <- pr_entry_of e;
-        incr j)
-      t.succs.(pid)
-  done;
-  let level = Array.make n (-1) in
-  let n_levels = ref 0 in
-  Array.iter
-    (fun pid ->
-      let l =
-        List.fold_left
-          (fun acc e -> max acc (level.(e.e_src) + 1))
-          0 t.preds.(pid)
-      in
-      level.(pid) <- l;
-      if l + 1 > !n_levels then n_levels := l + 1)
-    t.topo;
-  let st_slot = Array.make n (-1) in
-  let n_st = List.length t.startpoints in
-  let st_cell = Array.make (max n_st 1) (-1) in
-  let st_base = Array.make (max (n_st * nc) 1) 0.0 in
-  List.iteri (fun i pid -> st_slot.(pid) <- i) t.startpoints;
-  let ep_slot = Array.make n (-1) in
-  let n_ep = List.length t.endpoints in
-  let ep_cell = Array.make (max n_ep 1) (-1) in
-  let ep_term = Array.make (max (n_ep * nc) 1) 0.0 in
-  List.iteri (fun i (pid, _) -> ep_slot.(pid) <- i) t.endpoints;
-  let p =
-    {
-      pl_struct_gen = t.struct_gen;
-      pl_delay_gen = t.delay_gen;
-      pl_nc = nc;
-      pl_level = level;
-      pl_n_levels = !n_levels;
-      pr_off;
-      pr_src;
-      pr_cell;
-      pr_delay;
-      su_off;
-      su_dst;
-      su_delay;
-      su_pr;
-      st_slot;
-      st_cell;
-      st_base;
-      ep_slot;
-      ep_cell;
-      ep_term;
-      pl_scratch = Array.make (max nc 1) None;
-    }
-  in
-  plan_fill_delays t p;
-  p
+  !moved
 
-let ensure_plan t =
+let relax_required t g tmp ~k0 ~k1 q =
   let nc = Array.length t.corners in
-  match t.plan with
-  | Some p when p.pl_struct_gen = t.struct_gen && p.pl_nc = nc ->
-    if p.pl_delay_gen <> t.delay_gen then begin
-      plan_fill_delays t p;
-      p.pl_delay_gen <- t.delay_gen
-    end;
-    p
+  let req = t.required in
+  let period = t.cfg.clock_period in
+  let sl = Array.unsafe_get g.ep_slot q in
+  if sl >= 0 then begin
+    let cid = Array.unsafe_get g.ep_cell sl in
+    if cid >= 0 then begin
+      let sk = skew t cid in
+      for k = k0 to k1 do
+        Array.unsafe_set tmp k
+          (period +. sk -. Array.unsafe_get g.ep_term ((sl * nc) + k))
+      done
+    end
+    else
+      for k = k0 to k1 do
+        Array.unsafe_set tmp k (period -. Array.unsafe_get g.ep_term ((sl * nc) + k))
+      done
+  end
+  else
+    for k = k0 to k1 do
+      Array.unsafe_set tmp k infinity
+    done;
+  for j = Array.unsafe_get g.su_off q to Array.unsafe_get g.su_off (q + 1) - 1 do
+    let db = Array.unsafe_get g.su_dst j * nc in
+    let b = j * nc in
+    for k = k0 to k1 do
+      let r = pget req (db + k) -. Array.unsafe_get g.su_delay (b + k) in
+      if r < Array.unsafe_get tmp k then Array.unsafe_set tmp k r
+    done
+  done;
+  let moved = ref false in
+  let qb = q * nc in
+  for k = k0 to k1 do
+    let v = Array.unsafe_get tmp k in
+    if v <> pget req (qb + k) then begin
+      moved := true;
+      pset req (qb + k) v
+    end
+  done;
+  !moved
+
+let scratch_for t slot =
+  let g = t.g in
+  let n = Array.length g.level in
+  match t.scratch.(slot) with
+  | Some s
+    when Array.length s.ps_mark >= n && Array.length s.ps_head >= g.n_levels ->
+    s
   | Some _ | None ->
-    let p = build_plan t in
-    t.plan <- Some p;
-    p
-
-let plan_scratch_for p slot =
-  match p.pl_scratch.(slot) with
-  | Some s -> s
-  | None ->
-    let n = Array.length p.pl_level in
     let s =
       {
         ps_mark = Array.make (max n 1) 0;
         ps_next = Array.make (max n 1) (-1);
-        ps_head = Array.make (max p.pl_n_levels 1) (-1);
-        ps_tmp = Array.make (max p.pl_nc 1) 0.0;
+        ps_head = Array.make (max g.n_levels 1) (-1);
+        ps_tmp = Array.make (Array.length t.corners) 0.0;
         ps_epoch = 0;
       }
     in
-    p.pl_scratch.(slot) <- Some s;
+    t.scratch.(slot) <- Some s;
     s
 
-(* One levelized forward pass over corner range [k0..k1]. The cancel
-   token, when given, is polled once per level so a deadline or budget
-   trips promptly — but the pass always runs to completion (a batch is
-   atomic; callers like [Skew.optimize] act on the token at their own
-   sweep boundary), so a cancelled batch leaves exactly the same planes
-   as an uncancelled one. Returns (pins processed, non-empty levels). *)
-let forward_pass t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
-  let nc = p.pl_nc in
-  scr.ps_epoch <- scr.ps_epoch + 1;
-  let epoch = scr.ps_epoch in
-  let mark = scr.ps_mark and next = scr.ps_next and head = scr.ps_head in
-  let lmin = ref p.pl_n_levels and lmax = ref (-1) in
-  let push pid =
-    if Array.unsafe_get mark pid <> epoch then begin
-      Array.unsafe_set mark pid epoch;
-      let l = Array.unsafe_get p.pl_level pid in
-      Array.unsafe_set next pid (Array.unsafe_get head l);
-      Array.unsafe_set head l pid;
-      if l < !lmin then lmin := l;
-      if l > !lmax then lmax := l
-    end
-  in
-  List.iter (fun pid -> if t.topo_pos.(pid) >= 0 then push pid) seeds;
-  let tmp = scr.ps_tmp in
-  let arr = t.arrival in
-  let processed = ref 0 and levels = ref 0 in
-  let l = ref !lmin in
-  while !l <= !lmax do
-    (match cancel with
-    | Some c -> ignore (Mbr_util.Cancel.check c)
-    | None -> ());
-    let pid = ref head.(!l) in
-    if !pid >= 0 then incr levels;
-    while !pid >= 0 do
-      let q = !pid in
-      incr processed;
-      (* recompute arrival over [k0..k1] from final predecessors *)
-      let sl = Array.unsafe_get p.st_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.st_cell sl in
-        if cid >= 0 then begin
-          let sk = skew t cid in
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (sk +. Array.unsafe_get p.st_base ((sl * nc) + k))
-          done
-        end
-        else
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (Array.unsafe_get p.st_base ((sl * nc) + k))
-          done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k neg_infinity
-        done;
-      for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-        let sb = Array.unsafe_get p.pr_src j * nc in
-        let b = j * nc in
-        for k = k0 to k1 do
-          let a =
-            pget arr (sb + k) +. Array.unsafe_get p.pr_delay (b + k)
-          in
-          if a > Array.unsafe_get tmp k then Array.unsafe_set tmp k a
-        done
-      done;
-      let moved = ref false in
-      let qb = q * nc in
-      for k = k0 to k1 do
-        let v = Array.unsafe_get tmp k in
-        if v <> pget arr (qb + k) then begin
-          moved := true;
-          pset arr (qb + k) v
-        end
-      done;
-      if !moved then begin
-        (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-          push (Array.unsafe_get p.su_dst j)
-        done
-      end;
-      pid := Array.unsafe_get next q
-    done;
-    head.(!l) <- -1;
-    incr l
-  done;
-  (!processed, !levels)
+(* One direction of a seeded repair over corners [k0..k1]: forward
+   recomputes arrivals and chases successors, backward recomputes
+   requireds and chases predecessors, each only while values actually
+   move — an unmarked pin would recompute to its stored value bit for
+   bit (same final neighbours, same delays), so skipping it is exact,
+   and every shape lands on the same planes and the same changed-pin
+   set. Two shapes:
 
-(* Backward mirror: seeds are D pins, levels run high to low (a pin's
-   required depends only on strictly higher levels), pushes go to
-   predecessors. *)
-let backward_pass t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
-  let nc = p.pl_nc in
-  scr.ps_epoch <- scr.ps_epoch + 1;
-  let epoch = scr.ps_epoch in
-  let mark = scr.ps_mark and next = scr.ps_next and head = scr.ps_head in
-  let lmin = ref p.pl_n_levels and lmax = ref (-1) in
-  let push pid =
-    if Array.unsafe_get mark pid <> epoch then begin
-      Array.unsafe_set mark pid epoch;
-      let l = Array.unsafe_get p.pl_level pid in
-      Array.unsafe_set next pid (Array.unsafe_get head l);
-      Array.unsafe_set head l pid;
-      if l < !lmin then lmin := l;
-      if l > !lmax then lmax := l
-    end
-  in
-  List.iter (fun pid -> if t.topo_pos.(pid) >= 0 then push pid) seeds;
-  let tmp = scr.ps_tmp in
-  let req = t.required in
-  let period = t.cfg.clock_period in
-  let processed = ref 0 and levels = ref 0 in
-  let l = ref !lmax in
-  while !l >= !lmin do
-    (match cancel with
-    | Some c -> ignore (Mbr_util.Cancel.check c)
-    | None -> ());
-    let pid = ref head.(!l) in
-    if !pid >= 0 then incr levels;
-    while !pid >= 0 do
-      let q = !pid in
-      incr processed;
-      let sl = Array.unsafe_get p.ep_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.ep_cell sl in
-        if cid >= 0 then begin
-          let sk = skew t cid in
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-          done
-        end
-        else
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (period -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-          done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k infinity
-        done;
-      for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-        let db = Array.unsafe_get p.su_dst j * nc in
-        let b = j * nc in
-        for k = k0 to k1 do
-          let r =
-            pget req (db + k) -. Array.unsafe_get p.su_delay (b + k)
-          in
-          if r < Array.unsafe_get tmp k then Array.unsafe_set tmp k r
-        done
-      done;
-      let moved = ref false in
-      let qb = q * nc in
-      for k = k0 to k1 do
-        let v = Array.unsafe_get tmp k in
-        if v <> pget req (qb + k) then begin
-          moved := true;
-          pset req (qb + k) v
-        end
-      done;
-      if !moved then begin
-        (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-          push (Array.unsafe_get p.pr_src j)
-        done
-      end;
-      pid := Array.unsafe_get next q
-    done;
-    head.(!l) <- -1;
-    decr l
-  done;
-  (!processed, !levels)
+   - a frontier pass keeps epoch-marked per-level lists and visits only
+     the levels the seeds' cones reach (small batches);
+   - a mark-skip scan streams the whole topological order and
+     recomputes a pin only when it is marked, so the CSR walk stays
+     sequential and a quiet pin costs one array read (big batches,
+     and [analyze] with every pin seeded).
 
-(* Markless full sweep: the frontier pass's per-pin recompute applied
-   to every in-graph pin once, in topological order — a pin whose
-   inputs did not move recomputes to its stored value bit-for-bit, so
-   the fixpoint AND the changed-pin set match the frontier pass
-   exactly. Cancellation is polled every 4096 pins instead of per
-   level. Returns the processed-pin count. *)
-let forward_full t p scr ~k0 ~k1 ~changed ~cancel =
-  let nc = p.pl_nc in
-  let tmp = scr.ps_tmp in
-  let arr = t.arrival in
-  let topo = t.topo in
-  let m = Array.length topo in
-  for i = 0 to m - 1 do
-    (match cancel with
-    | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
-    | Some _ | None -> ());
-    let q = Array.unsafe_get topo i in
-    let sl = Array.unsafe_get p.st_slot q in
-    if sl >= 0 then begin
-      let cid = Array.unsafe_get p.st_cell sl in
-      if cid >= 0 then begin
-        let sk = skew t cid in
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (sk +. Array.unsafe_get p.st_base ((sl * nc) + k))
-        done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (Array.unsafe_get p.st_base ((sl * nc) + k))
-        done
-    end
-    else
-      for k = k0 to k1 do
-        Array.unsafe_set tmp k neg_infinity
-      done;
-    for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-      let sb = Array.unsafe_get p.pr_src j * nc in
-      let b = j * nc in
-      for k = k0 to k1 do
-        let a =
-          pget arr (sb + k) +. Array.unsafe_get p.pr_delay (b + k)
-        in
-        if a > Array.unsafe_get tmp k then Array.unsafe_set tmp k a
-      done
-    done;
-    let moved = ref false in
-    let qb = q * nc in
-    for k = k0 to k1 do
-      let v = Array.unsafe_get tmp k in
-      if v <> pget arr (qb + k) then begin
-        moved := true;
-        pset arr (qb + k) v
-      end
-    done;
-    if !moved then
-      match changed with Some v -> ivec_push v q | None -> ()
-  done;
-  m
-
-let backward_full t p scr ~k0 ~k1 ~changed ~cancel =
-  let nc = p.pl_nc in
-  let tmp = scr.ps_tmp in
-  let req = t.required in
-  let period = t.cfg.clock_period in
-  let topo = t.topo in
-  let m = Array.length topo in
-  for i = m - 1 downto 0 do
-    (match cancel with
-    | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
-    | Some _ | None -> ());
-    let q = Array.unsafe_get topo i in
-    let sl = Array.unsafe_get p.ep_slot q in
-    if sl >= 0 then begin
-      let cid = Array.unsafe_get p.ep_cell sl in
-      if cid >= 0 then begin
-        let sk = skew t cid in
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-        done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k (period -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-        done
-    end
-    else
-      for k = k0 to k1 do
-        Array.unsafe_set tmp k infinity
-      done;
-    for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-      let db = Array.unsafe_get p.su_dst j * nc in
-      let b = j * nc in
-      for k = k0 to k1 do
-        let r =
-          pget req (db + k) -. Array.unsafe_get p.su_delay (b + k)
-        in
-        if r < Array.unsafe_get tmp k then Array.unsafe_set tmp k r
-      done
-    done;
-    let moved = ref false in
-    let qb = q * nc in
-    for k = k0 to k1 do
-      let v = Array.unsafe_get tmp k in
-      if v <> pget req (qb + k) then begin
-        moved := true;
-        pset req (qb + k) v
-      end
-    done;
-    if !moved then
-      match changed with Some v -> ivec_push v q | None -> ()
-  done;
-  m
-
-(* Mark-skip sweeps: stream the whole topo order like the full sweeps,
-   but recompute a pin only when it is a seed or a predecessor actually
-   moved — one epoch-stamped mark per pin, no per-level lists, so the
-   CSR walk stays sequential and a quiet pin costs one array read.
-   Skipping is sound because an unmarked pin would recompute to its
-   stored value bit-for-bit (same final predecessors, same delays), so
-   the planes AND the changed-pin set match the markless full sweep
-   exactly. This is the batch shape for big move batches: frontier
-   level lists jump around the CSR, and the markless full sweep pays
-   the recompute for every quiet pin. *)
-let forward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
-  let nc = p.pl_nc in
+   [cancel] is polled once per level (every 4096 pins in a scan), but a
+   pass always completes: a batch is atomic, so a tripped token leaves
+   exactly the planes an untripped one would. Returns (pins processed,
+   non-empty levels walked; 1 for a scan). *)
+let sweep t scr ~fwd ~big ~k0 ~k1 ~seeds ~changed ~cancel =
+  let g = t.g in
   scr.ps_epoch <- scr.ps_epoch + 1;
   let epoch = scr.ps_epoch in
   let mark = scr.ps_mark in
-  List.iter
-    (fun pid -> if t.topo_pos.(pid) >= 0 then Array.unsafe_set mark pid epoch)
-    seeds;
+  let off = if fwd then g.su_off else g.pr_off in
+  let nbr = if fwd then g.su_dst else g.pr_src in
   let tmp = scr.ps_tmp in
-  let arr = t.arrival in
-  let topo = t.topo in
-  let m = Array.length topo in
+  let recompute q =
+    if fwd then relax_arrival t g tmp ~k0 ~k1 q
+    else relax_required t g tmp ~k0 ~k1 q
+  in
+  let report q = match changed with Some v -> ivec_push v q | None -> () in
+  let poll () =
+    match cancel with Some c -> ignore (Mbr_util.Cancel.check c) | None -> ()
+  in
   let processed = ref 0 in
-  for i = 0 to m - 1 do
-    (match cancel with
-    | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
-    | Some _ | None -> ());
-    let q = Array.unsafe_get topo i in
-    if Array.unsafe_get mark q = epoch then begin
-      incr processed;
-      let sl = Array.unsafe_get p.st_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.st_cell sl in
-        if cid >= 0 then begin
-          let sk = skew t cid in
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (sk +. Array.unsafe_get p.st_base ((sl * nc) + k))
+  if big then begin
+    for i = 0 to seeds.iv_len - 1 do
+      let q = Array.unsafe_get seeds.iv_a i in
+      if Array.unsafe_get g.level q >= 0 then Array.unsafe_set mark q epoch
+    done;
+    let topo = g.topo in
+    let m = Array.length topo in
+    for i = 0 to m - 1 do
+      if i land 4095 = 0 then poll ();
+      let q = Array.unsafe_get topo (if fwd then i else m - 1 - i) in
+      if Array.unsafe_get mark q = epoch then begin
+        incr processed;
+        if recompute q then begin
+          report q;
+          for j = Array.unsafe_get off q to Array.unsafe_get off (q + 1) - 1 do
+            Array.unsafe_set mark (Array.unsafe_get nbr j) epoch
           done
         end
-        else
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (Array.unsafe_get p.st_base ((sl * nc) + k))
+      end
+    done;
+    (!processed, 1)
+  end
+  else begin
+    let next = scr.ps_next and head = scr.ps_head in
+    let lmin = ref g.n_levels and lmax = ref (-1) in
+    let push q =
+      if Array.unsafe_get mark q <> epoch then begin
+        Array.unsafe_set mark q epoch;
+        let l = Array.unsafe_get g.level q in
+        Array.unsafe_set next q (Array.unsafe_get head l);
+        Array.unsafe_set head l q;
+        if l < !lmin then lmin := l;
+        if l > !lmax then lmax := l
+      end
+    in
+    for i = 0 to seeds.iv_len - 1 do
+      let q = Array.unsafe_get seeds.iv_a i in
+      if Array.unsafe_get g.level q >= 0 then push q
+    done;
+    let levels = ref 0 in
+    let visit l =
+      poll ();
+      let q = ref head.(l) in
+      if !q >= 0 then incr levels;
+      while !q >= 0 do
+        let p = !q in
+        incr processed;
+        if recompute p then begin
+          report p;
+          for j = Array.unsafe_get off p to Array.unsafe_get off (p + 1) - 1 do
+            push (Array.unsafe_get nbr j)
           done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k neg_infinity
-        done;
-      for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-        let sb = Array.unsafe_get p.pr_src j * nc in
-        let b = j * nc in
-        for k = k0 to k1 do
-          let a =
-            pget arr (sb + k) +. Array.unsafe_get p.pr_delay (b + k)
-          in
-          if a > Array.unsafe_get tmp k then Array.unsafe_set tmp k a
-        done
+        end;
+        q := Array.unsafe_get next p
       done;
-      let moved = ref false in
-      let qb = q * nc in
-      for k = k0 to k1 do
-        let v = Array.unsafe_get tmp k in
-        if v <> pget arr (qb + k) then begin
-          moved := true;
-          pset arr (qb + k) v
-        end
-      done;
-      if !moved then begin
-        (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-          Array.unsafe_set mark (Array.unsafe_get p.su_dst j) epoch
-        done
-      end
+      head.(l) <- -1
+    in
+    (* a pushed neighbour sits on a strictly later level in the sweep
+       direction, so the bounds are re-read every step *)
+    if fwd then begin
+      let l = ref !lmin in
+      while !l <= !lmax do
+        visit !l;
+        incr l
+      done
     end
-  done;
-  !processed
+    else begin
+      let l = ref !lmax in
+      while !l >= !lmin do
+        visit !l;
+        decr l
+      done
+    end;
+    (!processed, !levels)
+  end
 
-let backward_scan t p scr ~k0 ~k1 ~seeds ~changed ~cancel =
-  let nc = p.pl_nc in
-  scr.ps_epoch <- scr.ps_epoch + 1;
-  let epoch = scr.ps_epoch in
-  let mark = scr.ps_mark in
-  List.iter
-    (fun pid -> if t.topo_pos.(pid) >= 0 then Array.unsafe_set mark pid epoch)
-    seeds;
-  let tmp = scr.ps_tmp in
-  let req = t.required in
-  let period = t.cfg.clock_period in
-  let topo = t.topo in
-  let m = Array.length topo in
-  let processed = ref 0 in
-  for i = m - 1 downto 0 do
-    (match cancel with
-    | Some c when i land 4095 = 0 -> ignore (Mbr_util.Cancel.check c)
-    | Some _ | None -> ());
-    let q = Array.unsafe_get topo i in
-    if Array.unsafe_get mark q = epoch then begin
-      incr processed;
-      let sl = Array.unsafe_get p.ep_slot q in
-      if sl >= 0 then begin
-        let cid = Array.unsafe_get p.ep_cell sl in
-        if cid >= 0 then begin
-          let sk = skew t cid in
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (period +. sk -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-          done
-        end
-        else
-          for k = k0 to k1 do
-            Array.unsafe_set tmp k (period -. Array.unsafe_get p.ep_term ((sl * nc) + k))
-          done
-      end
-      else
-        for k = k0 to k1 do
-          Array.unsafe_set tmp k infinity
-        done;
-      for j = Array.unsafe_get p.su_off q to Array.unsafe_get p.su_off (q + 1) - 1 do
-        let db = Array.unsafe_get p.su_dst j * nc in
-        let b = j * nc in
-        for k = k0 to k1 do
-          let r =
-            pget req (db + k) -. Array.unsafe_get p.su_delay (b + k)
-          in
-          if r < Array.unsafe_get tmp k then Array.unsafe_set tmp k r
-        done
-      done;
-      let moved = ref false in
-      let qb = q * nc in
-      for k = k0 to k1 do
-        let v = Array.unsafe_get tmp k in
-        if v <> pget req (qb + k) then begin
-          moved := true;
-          pset req (qb + k) v
-        end
-      done;
-      if !moved then begin
-        (match changed with Some v -> ivec_push v q | None -> ());
-        for j = Array.unsafe_get p.pr_off q to Array.unsafe_get p.pr_off (q + 1) - 1 do
-          Array.unsafe_set mark (Array.unsafe_get p.pr_src j) epoch
-        done
-      end
-    end
-  done;
-  !processed
+(* Forward then backward from their seed sets. Past ~1/64 of the graph
+   seeded the cones cover most levels and the sequential scan beats
+   the frontier bookkeeping (the measured crossover on the D1 ladder
+   sits well above this — the constant errs toward keeping genuinely
+   small batches on the frontier path). *)
+let propagate t scr ~k0 ~k1 ~fseeds ~bseeds ~changed ~cancel =
+  let big = (fseeds.iv_len + bseeds.iv_len) * 64 >= Array.length t.g.topo in
+  let pf, lf = sweep t scr ~fwd:true ~big ~k0 ~k1 ~seeds:fseeds ~changed ~cancel in
+  let pb, lb = sweep t scr ~fwd:false ~big ~k0 ~k1 ~seeds:bseeds ~changed ~cancel in
+  (pf + pb, lf + lb)
 
-(* A full numeric pass: every delay recomputed against the current
-   placement (pending moves are absorbed; delay refill when the plan's
-   structure is still valid, full plan build otherwise), every
-   arrival/required recomputed by the markless full sweeps — one
-   shared plan serves this analysis and every subsequent skew sweep.
-   Pending *structural* design edits are not absorbed: the graph
-   arrays are untouched here, so [dsg_cursor] stays where it is and a
-   later {!refresh} repairs the structure. *)
+(* A full numeric pass: the snapshot retaken and every row refilled
+   against the current placement (pending moves are absorbed), every
+   pin seeded. Pending *structural* design edits are not absorbed: the
+   graph is untouched here, so [dsg_cursor] stays where it is and a
+   later {!refresh} rebuilds the structure. *)
 let analyze t =
+  let g = t.g in
+  let n = Array.length g.level in
   Mbr_obs.Trace.with_span ~name:"sta.analyze"
-    ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
+    ~args:[ ("n_pins", Mbr_obs.Trace.Int n) ]
   @@ fun () ->
-  t.delay_gen <- t.delay_gen + 1;
-  let nc = Array.length t.corners in
-  let p = ensure_plan t in
-  Bigarray.Array1.fill t.arrival neg_infinity;
-  Bigarray.Array1.fill t.required infinity;
-  let scr = plan_scratch_for p 0 in
-  ignore (forward_full t p scr ~k0:0 ~k1:(nc - 1) ~changed:None ~cancel:None);
-  ignore (backward_full t p scr ~k0:0 ~k1:(nc - 1) ~changed:None ~cancel:None);
+  Mbr_obs.Trace.with_span ~name:"sta.fill" (fun () ->
+      nl_open t;
+      for pid = 0 to n - 1 do
+        if g.level.(pid) >= 0 then snap_pin t pid
+      done;
+      for pid = 0 to n - 1 do
+        if g.level.(pid) >= 0 then fill_pin t pid
+      done);
+  let all = { iv_a = g.topo; iv_len = Array.length g.topo } in
+  Mbr_obs.Trace.with_span ~name:"sta.propagate" (fun () ->
+      ignore
+        (propagate t (scratch_for t 0) ~k0:0 ~k1:(Array.length t.corners - 1)
+           ~fseeds:all ~bseeds:all ~changed:None ~cancel:None));
   t.pl_cursor <- Placement.revision t.pl;
   t.analyzed <- true
 
 let ensure t = if not t.analyzed then analyze t
 
-(* ---- incremental refresh ---- *)
-
-exception Bail
-
-let grow t n' =
-  if n' > t.n then begin
-    let grow_arr a def =
-      let b = Array.make n' def in
-      Array.blit a 0 b 0 t.n;
-      b
-    in
-    t.in_graph <- grow_arr t.in_graph false;
-    t.succs <- grow_arr t.succs [];
-    t.preds <- grow_arr t.preds [];
-    t.topo_pos <- grow_arr t.topo_pos (-1);
-    t.is_start <- grow_arr t.is_start false;
-    t.ep_of <- grow_arr t.ep_of None;
-    (* the corner count is unchanged, so the interleaved prefix of the
-       old plane is position-identical in the new one — one blit *)
-    let nc = Array.length t.corners in
-    let grow_plane pl def =
-      let b = plane_make (n' * nc) def in
-      if t.n > 0 then
-        Bigarray.Array1.blit
-          (Bigarray.Array1.sub pl 0 (t.n * nc))
-          (Bigarray.Array1.sub b 0 (t.n * nc));
-      b
-    in
-    t.arrival <- grow_plane t.arrival neg_infinity;
-    t.required <- grow_plane t.required infinity;
-    t.plan <- None;
-    t.struct_gen <- t.struct_gen + 1;
-    t.n <- n'
-  end
-
-(* Telemetry: the incremental engine's health is "how often does
-   refresh stay incremental, and how much does it touch when it does".
-   [sta.dirty_pins] accumulates the seed set of each incremental
-   splice; [sta.rebuild_fallbacks] counts Bail escapes to the O(n)
-   path. [sta.corners] accumulates the corner count of every engine
-   build / corner-set swap. All no-ops while [Mbr_obs] is disabled. *)
+(* Telemetry: [sta.refreshes] counts seeded repairs, [sta.dirty_pins]
+   accumulates the pins seeding them, [sta.corners] the corner count of
+   every engine build / corner-set swap. All no-ops while [Mbr_obs] is
+   disabled. *)
 let m_refreshes = Mbr_obs.Metrics.counter "sta.refreshes"
-
-let m_rebuild_fallbacks = Mbr_obs.Metrics.counter "sta.rebuild_fallbacks"
 
 let m_dirty_pins = Mbr_obs.Metrics.counter "sta.dirty_pins"
 
-(* Full fallback: recompute the graph from scratch, keep skews, rerun a
-   complete analyze. Any partial splicing a bailed refresh left behind
-   is discarded wholesale because every array is replaced. *)
-let rebuild t =
-  let g =
-    Mbr_obs.Trace.with_span ~name:"sta.graph" (fun () -> compute_graph t.dsg)
+(* The numeric half of a structural repair. Every pin's pred row and
+   start/endpoint status is diffed against [old] (rows are canonical,
+   so a slice compare is exact). A changed pin is seeded forward —
+   backward too when its endpoint status flipped — and every source on
+   either side of its row backward, since their succ rows changed with
+   it; pins that left the graph are reset to unreached. Dirty and
+   changed rows are refilled; a clean, unchanged row reads nothing the
+   batch touched, so its delays are carried over from [old] as they
+   are. *)
+let carry_over t old ~dirty ~fd ~bd =
+  let g = t.g and nc = Array.length t.corners in
+  let on = Array.length old.level in
+  for pid = 0 to Array.length g.level - 1 do
+    let was = pid < on in
+    let oj0, oj1 = if was then (old.pr_off.(pid), old.pr_off.(pid + 1)) else (0, 0) in
+    let nj0, nj1 = (g.pr_off.(pid), g.pr_off.(pid + 1)) in
+    let same = ref (oj1 - oj0 = nj1 - nj0) in
+    let j = ref 0 in
+    while !same && !j < nj1 - nj0 do
+      if old.pr_src.(oj0 + !j) <> g.pr_src.(nj0 + !j) then same := false;
+      incr j
+    done;
+    if not !same then begin
+      Bytes.set fd pid '\001';
+      for j = oj0 to oj1 - 1 do Bytes.set bd old.pr_src.(j) '\001' done;
+      for j = nj0 to nj1 - 1 do Bytes.set bd g.pr_src.(j) '\001' done
+    end;
+    let ost = if was then old.st_slot.(pid) else -1 in
+    let oep = if was then old.ep_slot.(pid) else -1 in
+    let nst = g.st_slot.(pid) and nep = g.ep_slot.(pid) in
+    let st_flip = (ost >= 0) <> (nst >= 0) and ep_flip = (oep >= 0) <> (nep >= 0) in
+    if st_flip then Bytes.set fd pid '\001';
+    if ep_flip then Bytes.set bd pid '\001';
+    let was_in = was && old.level.(pid) >= 0 in
+    if g.level.(pid) < 0 then begin
+      if was_in then
+        for k = 0 to nc - 1 do
+          pset t.arrival ((pid * nc) + k) neg_infinity;
+          pset t.required ((pid * nc) + k) infinity
+        done
+    end
+    else if
+      Bytes.get dirty pid = '\001' || (not was_in) || (not !same) || st_flip || ep_flip
+    then fill_pin t pid
+    else begin
+      for j = 0 to (nj1 - nj0) - 1 do
+        let ob = (oj0 + j) * nc and nb = (nj0 + j) * nc in
+        let sb = g.pr_su.(nj0 + j) * nc in
+        for k = 0 to nc - 1 do
+          let d = old.pr_delay.(ob + k) in
+          g.pr_delay.(nb + k) <- d;
+          g.su_delay.(sb + k) <- d
+        done
+      done;
+      if nst >= 0 then Array.blit old.st_base (ost * nc) g.st_base (nst * nc) nc;
+      if nep >= 0 then Array.blit old.ep_term (oep * nc) g.ep_term (nep * nc) nc
+    end
+  done
+
+(* Bring the engine up to date with the edit logs, given the edits
+   since the design cursor, the cells moved since the placement cursor
+   and, for a structural batch, the freshly computed graph. Dirty nets
+   are the logged ones plus every net on a touched cell; dirty pins are
+   the in-graph pins on those nets and of those cells. Their snapshot
+   is retaken and their rows refilled, and they seed the repair in both
+   directions, their pred sources backward. *)
+let repair t ~fresh edits moved =
+  let old = t.g in
+  Option.iter (install t) fresh;
+  let g = t.g in
+  let n = Array.length g.level in
+  let net_seen = Bytes.make (Design.n_nets t.dsg) '\000' in
+  let nets = ref [] in
+  let add_net nid =
+    if Bytes.get net_seen nid = '\000' then begin
+      Bytes.set net_seen nid '\001';
+      nets := nid :: !nets
+    end
   in
-  let nc = Array.length t.corners in
-  t.n <- g.g_n;
-  t.in_graph <- g.g_in_graph;
-  t.succs <- g.g_succs;
-  t.preds <- g.g_preds;
-  t.topo <- g.g_topo;
-  t.topo_pos <- g.g_topo_pos;
-  t.is_start <- g.g_is_start;
-  t.ep_of <- g.g_ep_of;
-  t.startpoints <- g.g_startpoints;
-  t.endpoints <- g.g_endpoints;
-  (* [compute_graph]'s table is fresh per call — own it directly *)
-  t.net_arcs <- g.g_net_arcs;
-  t.arrival <- plane_make (g.g_n * nc) neg_infinity;
-  t.required <- plane_make (g.g_n * nc) infinity;
-  t.plan <- None;
-  t.struct_gen <- t.struct_gen + 1;
-  t.dsg_cursor <- Design.revision t.dsg;
-  t.n_full_builds <- t.n_full_builds + 1;
-  analyze t
-
-(* Recompute one pin's arrivals (all corners) from its final
-   predecessors into [tmp]; true if any corner differs from the stored
-   value. Shared by refresh and skew propagation so the fixpoint is the
-   full analysis's, corner by corner. *)
-let recompute_arrival t tmp pid =
-  let nc = Array.length t.corners in
-  for k = 0 to nc - 1 do
-    tmp.(k) <- (if t.is_start.(pid) then launch_arrival t k pid else neg_infinity)
-  done;
+  let cells = ref moved in
   List.iter
-    (fun e ->
-      if pget t.arrival (e.e_src * nc) > neg_infinity then begin
-        let d = edge_delays t e in
-        for k = 0 to nc - 1 do
-          let a = pget t.arrival ((e.e_src * nc) + k) +. d.(k) in
-          if a > tmp.(k) then tmp.(k) <- a
-        done
-      end)
-    t.preds.(pid);
-  let changed = ref false in
-  for k = 0 to nc - 1 do
-    if tmp.(k) <> pget t.arrival ((pid * nc) + k) then changed := true
-  done;
-  !changed
-
-let recompute_required t tmp pid =
-  let nc = Array.length t.corners in
-  (match t.ep_of.(pid) with
-  | Some kind ->
-    for k = 0 to nc - 1 do
-      tmp.(k) <- endpoint_required t k (pid, kind)
+    (function
+      | Design.Net_changed nid -> add_net nid
+      | Design.Cell_added cid | Design.Cell_removed cid | Design.Cell_retyped cid
+        ->
+        cells := cid :: !cells)
+    edits;
+  List.iter
+    (fun cid ->
+      List.iter
+        (fun pid -> Option.iter add_net (Design.pin t.dsg pid).Types.p_net)
+        (Design.pins_of t.dsg cid))
+    !cells;
+  let dirty = Bytes.make n '\000' in
+  let dpins = ivec_create () in
+  let add_pin pid =
+    if pid < n && g.level.(pid) >= 0 && Bytes.get dirty pid = '\000' then begin
+      Bytes.set dirty pid '\001';
+      ivec_push dpins pid
+    end
+  in
+  List.iter (fun nid -> List.iter add_pin (Design.net t.dsg nid).Types.n_pins) !nets;
+  List.iter (fun cid -> List.iter add_pin (Design.pins_of t.dsg cid)) !cells;
+  let fd = Bytes.copy dirty and bd = Bytes.copy dirty in
+  for i = 0 to dpins.iv_len - 1 do
+    let pid = dpins.iv_a.(i) in
+    for j = g.pr_off.(pid) to g.pr_off.(pid + 1) - 1 do
+      Bytes.set bd g.pr_src.(j) '\001'
     done
-  | None -> Array.fill tmp 0 nc infinity);
-  List.iter
-    (fun e ->
-      if pget t.required (e.e_dst * nc) < infinity then begin
-        let d = edge_delays t e in
-        for k = 0 to nc - 1 do
-          let r = pget t.required ((e.e_dst * nc) + k) -. d.(k) in
-          if r < tmp.(k) then tmp.(k) <- r
-        done
-      end)
-    t.succs.(pid);
-  let changed = ref false in
-  for k = 0 to nc - 1 do
-    if tmp.(k) <> pget t.required ((pid * nc) + k) then changed := true
   done;
-  !changed
+  Mbr_obs.Trace.with_span ~name:"sta.fill" (fun () ->
+      nl_open t;
+      for i = 0 to dpins.iv_len - 1 do
+        snap_pin t dpins.iv_a.(i)
+      done;
+      match fresh with
+      | Some _ -> carry_over t old ~dirty ~fd ~bd
+      | None ->
+        for i = 0 to dpins.iv_len - 1 do
+          fill_pin t dpins.iv_a.(i)
+        done);
+  let fseeds = ivec_create () and bseeds = ivec_create () in
+  let n_dirty = ref 0 in
+  for pid = 0 to n - 1 do
+    let f = Bytes.get fd pid = '\001' and b = Bytes.get bd pid = '\001' in
+    if f then ivec_push fseeds pid;
+    if b then ivec_push bseeds pid;
+    if f || b then incr n_dirty
+  done;
+  Mbr_obs.Metrics.incr ~by:!n_dirty m_dirty_pins;
+  Mbr_obs.Trace.with_span ~name:"sta.propagate" (fun () ->
+      ignore
+        (propagate t (scratch_for t 0) ~k0:0 ~k1:(Array.length t.corners - 1)
+           ~fseeds ~bseeds ~changed:None ~cancel:None))
 
-let commit_arrival t tmp pid =
-  let nc = Array.length t.corners in
-  for k = 0 to nc - 1 do
-    pset t.arrival ((pid * nc) + k) tmp.(k)
-  done
-
-let commit_required t tmp pid =
-  let nc = Array.length t.corners in
-  for k = 0 to nc - 1 do
-    pset t.required ((pid * nc) + k) tmp.(k)
-  done
-
-(* Splice the edits logged since the cursors into the existing graph and
-   re-propagate only what they touched. The structural part handles
-   register/port pins exactly: those are pure sources or pure sinks of
-   the data graph (no timing arc crosses a register), so composition
-   edits never perturb the relative order of surviving pins and the
-   topological order can be repaired by prepending new sources and
-   appending new sinks. Anything that could reorder the interior — a
-   combinational cell appearing, or a new arc that contradicts the
-   current order — bails to {!rebuild}, as does an edit batch whose
-   touched-pin estimate exceeds [rebuild_threshold] of the graph (a
-   vanishing comb cell is fine: a subgraph of a DAG keeps the DAG's
-   topological order). The splice's numeric repair rides the same
-   mark-skip scans as the skew sweeps and its status bookkeeping is
-   batched, so what remains over the batched full build is the per-net
-   arc surgery; the break-even now sits above half the graph. The 0.6
-   default keeps composition-scale batches — a merge pass replacing a
-   third of the registers dirties ~half the pins — on the splice, and
-   sends only wholesale rewrites to {!rebuild}. *)
-let refresh ?(rebuild_threshold = 0.6) t =
+(* Any added or removed cell or rewired net rebuilds the graph from the
+   design — computed before anything is touched, so a
+   [Combinational_cycle] leaves the engine exactly as it was and a
+   later refresh retries the same edits. Move- and retype-only batches
+   keep the graph. Either way the numeric repair is seeded, never a
+   full pass. *)
+let refresh t =
   let dsg_rev = Design.revision t.dsg in
   let pl_rev = Placement.revision t.pl in
-  if not t.analyzed then begin
-    if dsg_rev <> t.dsg_cursor then rebuild t else analyze t
-  end
-  else if dsg_rev = t.dsg_cursor && pl_rev = t.pl_cursor then ()
-  else
-    Mbr_obs.Trace.with_span ~name:"sta.refresh"
-      ~args:[ ("n_pins", Mbr_obs.Trace.Int t.n) ]
-    @@ fun () ->
-    try
-      let edits = Design.edits_since t.dsg t.dsg_cursor in
-      let moved = Placement.moves_since t.pl t.pl_cursor in
-      let dirty_nets = Hashtbl.create 64 in
-      let added = ref [] and removed = ref [] and retyped = ref [] in
-      List.iter
+  if t.analyzed && dsg_rev = t.dsg_cursor && pl_rev = t.pl_cursor then ()
+  else begin
+    let edits = Design.edits_since t.dsg t.dsg_cursor in
+    let structural =
+      List.exists
         (function
-          | Design.Net_changed nid -> Hashtbl.replace dirty_nets nid ()
-          | Design.Cell_added cid -> added := cid :: !added
-          | Design.Cell_removed cid -> removed := cid :: !removed
-          | Design.Cell_retyped cid -> retyped := cid :: !retyped)
-        edits;
-      (* A comb cell *appearing* can reshape the interior of the
-         topological order — punt. A comb cell vanishing cannot: a
-         subgraph of a DAG keeps the DAG's topological order, so
-         removals only drop arcs and ride the generic removed-cell
-         path below. *)
-      let is_comb cid =
-        match (Design.cell t.dsg cid).Types.c_kind with
-        | Types.Comb _ -> true
-        | _ -> false
-      in
-      if List.exists is_comb !added then raise Bail;
-      let nets_of_cell cid =
-        List.filter_map
-          (fun pid -> (Design.pin t.dsg pid).Types.p_net)
-          (Design.pins_of t.dsg cid)
-      in
-      (* Moved cells change pin positions; retyped registers change pin
-         offsets, caps and drive. Either way every incident net's arc
-         delays and load are stale. *)
-      List.iter
-        (fun cid ->
-          List.iter (fun nid -> Hashtbl.replace dirty_nets nid ()) (nets_of_cell cid))
-        moved;
-      List.iter
-        (fun cid ->
-          List.iter (fun nid -> Hashtbl.replace dirty_nets nid ()) (nets_of_cell cid))
-        !retyped;
-      let estimate =
-        Hashtbl.fold
-          (fun nid () acc ->
-            acc + List.length (Design.net t.dsg nid).Types.n_pins)
-          dirty_nets 0
-        + List.fold_left
-            (fun acc cid -> acc + List.length (Design.pins_of t.dsg cid))
-            0
-            (!added @ !removed @ !retyped)
-        + List.length moved
-      in
-      if float_of_int estimate > rebuild_threshold *. float_of_int (max t.n 1)
-      then raise Bail;
-      grow t (Design.n_pins t.dsg);
-      (* design + placement are frozen for the rest of the splice: one
-         net-load memo epoch covers every respliced arc and relaunched
-         startpoint *)
-      nl_open t;
-      let nc = Array.length t.corners in
-      let fwd_dirty = Array.make t.n false in
-      let bwd_dirty = Array.make t.n false in
-      let mark_fwd pid = fwd_dirty.(pid) <- true in
-      let mark_bwd pid = bwd_dirty.(pid) <- true in
-      Mbr_obs.Trace.with_span ~name:"sta.splice" (fun () ->
-      (* 1. removed cells leave the graph *)
-      List.iter
-        (fun cid ->
-          List.iter
-            (fun pid ->
-              if t.in_graph.(pid) then begin
-                List.iter
-                  (fun e ->
-                    t.preds.(e.e_dst) <-
-                      List.filter (fun e' -> e'.e_src <> pid) t.preds.(e.e_dst);
-                    mark_fwd e.e_dst)
-                  t.succs.(pid);
-                List.iter
-                  (fun e ->
-                    t.succs.(e.e_src) <-
-                      List.filter (fun e' -> e'.e_dst <> pid) t.succs.(e.e_src);
-                    mark_bwd e.e_src)
-                  t.preds.(pid);
-                t.succs.(pid) <- [];
-                t.preds.(pid) <- [];
-                t.in_graph.(pid) <- false;
-                t.is_start.(pid) <- false;
-                t.ep_of.(pid) <- None;
-                t.topo_pos.(pid) <- -1;
-                for k = 0 to nc - 1 do
-                  pset t.arrival ((pid * nc) + k) neg_infinity;
-                  pset t.required ((pid * nc) + k) infinity
-                done
-              end)
-            (Design.pins_of t.dsg cid))
-        !removed;
-      let sts_dirty = ref (!removed <> []) in
-      (* 2. added cells join the graph; their start/endpoint status and
-         arcs arrive through the Net_changed edits their wiring logged *)
-      let new_pins = ref [] in
-      List.iter
-        (fun cid ->
-          let c = Design.cell t.dsg cid in
-          if not c.Types.c_dead then
-            List.iter
-              (fun pid ->
-                if data_pin t.dsg pid && not t.in_graph.(pid) then begin
-                  t.in_graph.(pid) <- true;
-                  new_pins := pid :: !new_pins
-                end)
-              c.Types.c_pins)
-        !added;
-      (* 3. retyped registers: clk->q and setup changed *)
-      List.iter
-        (fun cid ->
-          List.iter
-            (fun pid ->
-              if t.in_graph.(pid) then begin
-                match (Design.pin t.dsg pid).Types.p_kind with
-                | Types.Pin_q _ -> mark_fwd pid
-                | Types.Pin_d _ -> mark_bwd pid
-                | _ -> ()
-              end)
-            (Design.pins_of t.dsg cid))
-        !retyped;
-      (* 4. resplice every dirty net *)
-      (* status flips only touch the flag arrays here; the start/end
-         *lists* are rebuilt once after the splice (the old per-flip
-         [List.filter] over a 10k+-long startpoint list made bulk
-         splices quadratic) *)
-      let check_status pid =
-        let should_start, should_end = pin_start_end t.dsg pid in
-        if should_start <> t.is_start.(pid) then begin
-          t.is_start.(pid) <- should_start;
-          sts_dirty := true;
-          mark_fwd pid
-        end;
-        match (should_end, t.ep_of.(pid)) with
-        | None, None -> ()
-        | Some k, Some k' when k = k' -> ()
-        | _ ->
-          t.ep_of.(pid) <- should_end;
-          sts_dirty := true;
-          mark_bwd pid
-      in
-      Hashtbl.iter
-        (fun nid () ->
-          let old =
-            match Hashtbl.find_opt t.net_arcs nid with Some l -> l | None -> []
-          in
-          List.iter
-            (fun (d, s) ->
-              t.succs.(d) <- List.filter (fun e -> e.e_dst <> s) t.succs.(d);
-              t.preds.(s) <- List.filter (fun e -> e.e_src <> d) t.preds.(s);
-              if t.in_graph.(s) then mark_fwd s;
-              if t.in_graph.(d) then mark_bwd d)
-            old;
-          let pairs = net_arc_pairs t.dsg t.in_graph nid in
-          List.iter
-            (fun (d, s) ->
-              if
-                t.topo_pos.(d) >= 0 && t.topo_pos.(s) >= 0
-                && t.topo_pos.(d) > t.topo_pos.(s)
-              then raise Bail;
-              let e = mk_edge ~cell:false d s in
-              t.succs.(d) <- e :: t.succs.(d);
-              t.preds.(s) <- e :: t.preds.(s);
-              mark_fwd s;
-              mark_bwd d)
-            pairs;
-          if pairs = [] then Hashtbl.remove t.net_arcs nid
-          else Hashtbl.replace t.net_arcs nid pairs;
-          (* the driver's output load changed: comb delay through it and
-             a startpoint's launch both depend on it *)
-          (match Design.driver t.dsg nid with
-          | Some d when t.in_graph.(d) ->
-            if t.is_start.(d) then mark_fwd d;
-            List.iter
-              (fun e ->
-                if e.e_cell then begin
-                  e.e_gen <- -1;
-                  mark_fwd d;
-                  mark_bwd e.e_src
-                end)
-              t.preds.(d)
-          | Some _ | None -> ());
-          (* start/endpoint status follows connectivity *)
-          List.iter
-            (fun pid -> if t.in_graph.(pid) then check_status pid)
-            (Design.net t.dsg nid).Types.n_pins;
-          List.iter
-            (fun (d, s) ->
-              if t.in_graph.(d) then check_status d;
-              if t.in_graph.(s) then check_status s)
-            old)
-        dirty_nets;
-      (* 5. local topo repair: new pins are register/port pins, i.e.
-         pure sources or pure sinks of the data graph *)
-      if !new_pins <> [] then begin
-        List.iter
-          (fun pid ->
-            if t.preds.(pid) <> [] && t.succs.(pid) <> [] then raise Bail)
-          !new_pins;
-        let sources, sinks =
-          List.partition (fun pid -> t.preds.(pid) = []) !new_pins
-        in
-        let kept =
-          List.filter (fun pid -> t.in_graph.(pid)) (Array.to_list t.topo)
-        in
-        t.topo <- Array.of_list (sources @ kept @ sinks);
-        let tp = Array.make t.n (-1) in
-        Array.iteri (fun idx pid -> tp.(pid) <- idx) t.topo;
-        t.topo_pos <- tp
-      end;
-      (* 5b. start/endpoint lists, rebuilt from the flag arrays in one
-         pass over the pins *)
-      if !sts_dirty then begin
-        let sts = ref [] and eps = ref [] in
-        for pid = t.n - 1 downto 0 do
-          if t.is_start.(pid) then sts := pid :: !sts;
-          match t.ep_of.(pid) with
-          | Some k -> eps := (pid, k) :: !eps
-          | None -> ()
-        done;
-        t.startpoints <- !sts;
-        t.endpoints <- !eps
-      end);
-      (* 6. numeric repair. The splice reshaped the arc lists, so any
-         cached propagation plan is stale either way; the delays it
-         would serve are also stale on dirty nets without a
-         [delay_gen] bump, and both invalidations travel through one
-         [struct_gen] tick. *)
-      Mbr_obs.Trace.with_span ~name:"sta.repair" @@ fun () ->
-      t.struct_gen <- t.struct_gen + 1;
-      let n_dirty = ref 0 in
-      for pid = 0 to t.n - 1 do
-        if fwd_dirty.(pid) || bwd_dirty.(pid) then incr n_dirty
-      done;
-      Mbr_obs.Metrics.incr ~by:!n_dirty m_dirty_pins;
-      if !n_dirty * 64 >= t.n then begin
-        (* Big batch (a composition pass just replaced thousands of
-           registers): the per-pin heap worklist below would chase
-           most of the graph through the arc *lists*. Build the
-           shared propagation plan now — the skew sweeps that follow
-           reuse it as-is, so the build is moved earlier, not added —
-           and repair both planes with the mark-skip scans. A pin is
-           still recomputed from scratch off its final predecessors
-           and its cone chased only while values actually change, so
-           the planes land bit-identical to the worklist's. *)
-        let p = ensure_plan t in
-        let scr = plan_scratch_for p 0 in
-        let fseeds = ref [] and bseeds = ref [] in
-        for pid = t.n - 1 downto 0 do
-          if fwd_dirty.(pid) then fseeds := pid :: !fseeds;
-          if bwd_dirty.(pid) then bseeds := pid :: !bseeds
-        done;
-        ignore
-          (forward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!fseeds
-             ~changed:None ~cancel:None);
-        ignore
-          (backward_scan t p scr ~k0:0 ~k1:(nc - 1) ~seeds:!bseeds
-             ~changed:None ~cancel:None)
-      end
-      else begin
-        (* worklist propagation in topological order; a pin is
-           recomputed from scratch off its (final) predecessors, and
-           its cone is chased only while values actually change. All
-           corners ride one worklist: a pin requeues when any corner
-           moved, and every corner's value is committed together. *)
-        let tmp = Array.make nc 0.0 in
-        let fq = Pq.create () in
-        let fqueued = Array.make t.n false in
-        let fpush pid =
-          if t.in_graph.(pid) && t.topo_pos.(pid) >= 0 && not fqueued.(pid)
-          then begin
-            fqueued.(pid) <- true;
-            Pq.push fq (t.topo_pos.(pid), pid)
-          end
-        in
-        for pid = 0 to t.n - 1 do
-          if fwd_dirty.(pid) then fpush pid
-        done;
-        while not (Pq.is_empty fq) do
-          let pid = Pq.pop fq in
-          if recompute_arrival t tmp pid then begin
-            commit_arrival t tmp pid;
-            List.iter (fun e -> fpush e.e_dst) t.succs.(pid)
-          end
-        done;
-        let bq = Pq.create () in
-        let bqueued = Array.make t.n false in
-        let bpush pid =
-          if t.in_graph.(pid) && t.topo_pos.(pid) >= 0 && not bqueued.(pid)
-          then begin
-            bqueued.(pid) <- true;
-            Pq.push bq (-t.topo_pos.(pid), pid)
-          end
-        in
-        for pid = 0 to t.n - 1 do
-          if bwd_dirty.(pid) then bpush pid
-        done;
-        while not (Pq.is_empty bq) do
-          let pid = Pq.pop bq in
-          if recompute_required t tmp pid then begin
-            commit_required t tmp pid;
-            List.iter (fun e -> bpush e.e_src) t.preds.(pid)
-          end
-        done
-      end;
+          | Design.Cell_retyped _ -> false
+          | Design.Cell_added _ | Design.Cell_removed _ | Design.Net_changed _ ->
+            true)
+        edits
+    in
+    if not t.analyzed then begin
+      if structural then install t (build_graph t);
+      t.dsg_cursor <- dsg_rev;
+      analyze t
+    end
+    else
+      Mbr_obs.Trace.with_span ~name:"sta.refresh"
+        ~args:[ ("n_pins", Mbr_obs.Trace.Int (n_pins t)) ]
+      @@ fun () ->
+      let fresh = if structural then Some (build_graph t) else None in
+      repair t ~fresh edits (Placement.moves_since t.pl t.pl_cursor);
       t.dsg_cursor <- dsg_rev;
       t.pl_cursor <- pl_rev;
-      t.analyzed <- true;
       t.n_refreshes <- t.n_refreshes + 1;
       Mbr_obs.Metrics.incr m_refreshes
-    with Bail ->
-      Mbr_obs.Metrics.incr m_rebuild_fallbacks;
-      rebuild t
+  end
 
 let full_builds t = t.n_full_builds
 
 let refreshes t = t.n_refreshes
 
 (* Telemetry for the skew-update hot path: [sta.skew.frontier_pins]
-   accumulates pins processed by the propagation passes (frontier pins
-   in frontier mode, every in-graph pin in full-sweep mode),
+   accumulates pins processed by the propagation passes,
    [sta.skew.level_passes] the non-empty levels the frontier passes
-   walked, [sta.skew.corner_par] the corners fanned out to parallel
-   per-corner sweeps. *)
+   walked (1 per scan), [sta.skew.corner_par] the corners fanned out to
+   parallel per-corner sweeps. *)
 let m_skew_frontier = Mbr_obs.Metrics.counter "sta.skew.frontier_pins"
 
 let m_skew_levels = Mbr_obs.Metrics.counter "sta.skew.level_passes"
@@ -1965,9 +1135,8 @@ let m_skew_corner_par = Mbr_obs.Metrics.counter "sta.skew.corner_par"
    exactly the per-corner fixpoints of the all-corners pass, and the
    union of per-corner changed sets equals the serial changed set.
    Each task owns its corner's interleaved plane columns and its own
-   plan scratch slot;
-   everything else it touches (plan, skew table, design) is read-only
-   for the duration of the call. *)
+   scratch slot; everything else it touches (graph, skews, design) is
+   read-only for the duration of the call. *)
 let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
   if not t.analyzed then begin
     List.iter (fun (cid, s) -> write_skew t cid s) assignments;
@@ -1980,56 +1149,36 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
   else begin
     let moved = List.filter (fun (cid, s) -> skew t cid <> s) assignments in
     List.iter (fun (cid, s) -> write_skew t cid s) moved;
-    t.analyzed <- true;
-    (* seed pins *)
-    let q_seeds = ref [] and d_seeds = ref [] in
+    let q_seeds = ivec_create () and d_seeds = ivec_create () in
     List.iter
       (fun (cid, _) ->
         List.iter
           (fun pid ->
-            let p = Design.pin t.dsg pid in
-            match p.Types.p_kind with
-            | Types.Pin_q _ when t.in_graph.(pid) -> q_seeds := pid :: !q_seeds
-            | Types.Pin_d _ when t.in_graph.(pid) -> d_seeds := pid :: !d_seeds
-            | _ -> ())
+            if in_graph t pid then
+              match (Design.pin t.dsg pid).Types.p_kind with
+              | Types.Pin_q _ -> ivec_push q_seeds pid
+              | Types.Pin_d _ -> ivec_push d_seeds pid
+              | _ -> ())
           (Design.pins_of t.dsg cid))
       moved;
-    if !q_seeds = [] && !d_seeds = [] then []
+    if q_seeds.iv_len = 0 && d_seeds.iv_len = 0 then []
     else begin
-      let p = ensure_plan t in
       let nc = Array.length t.corners in
-      (* Mode pick: a moved register's cone typically fans out to
-         orders of magnitude more pins than it has seeds, so once the
-         seed set passes ~1/64 of the graph the union frontier covers
-         most levels and the sequential mark-skip scan beats the
-         frontier bookkeeping (measured crossover on the D1 ladder
-         sits well above this — the constant errs toward keeping
-         genuinely small batches on the frontier path). *)
-      let n_seeds = List.length !q_seeds + List.length !d_seeds in
-      let big = n_seeds * 64 >= Array.length t.topo in
-      let fwd scr ~k0 ~k1 ~changed =
-        if big then
-          ( forward_scan t p scr ~k0 ~k1 ~seeds:!q_seeds ~changed ~cancel,
-            1 )
-        else forward_pass t p scr ~k0 ~k1 ~seeds:!q_seeds ~changed ~cancel
-      in
-      let bwd scr ~k0 ~k1 ~changed =
-        if big then
-          ( backward_scan t p scr ~k0 ~k1 ~seeds:!d_seeds ~changed ~cancel,
-            1 )
-        else backward_pass t p scr ~k0 ~k1 ~seeds:!d_seeds ~changed ~cancel
+      let run scr ~k0 ~k1 ~changed =
+        propagate t scr ~k0 ~k1 ~fseeds:q_seeds ~bseeds:d_seeds ~changed ~cancel
       in
       let changed =
         if jobs > 1 && nc > 1 then begin
           Mbr_obs.Metrics.incr ~by:nc m_skew_corner_par;
+          (* scratch slots are claimed before the fan-out: tasks only
+             read [t.scratch] *)
+          let scrs = Array.init nc (scratch_for t) in
           let per =
             Mbr_util.Pool.map_array ~jobs:(min jobs nc)
               (fun k ->
-                let scr = plan_scratch_for p k in
                 let cv = if collect_touched then Some (ivec_create ()) else None in
-                let pf, lf = fwd scr ~k0:k ~k1:k ~changed:cv in
-                let pb, lb = bwd scr ~k0:k ~k1:k ~changed:cv in
-                (cv, pf + pb, lf + lb))
+                let pins, lvls = run scrs.(k) ~k0:k ~k1:k ~changed:cv in
+                (cv, pins, lvls))
               (Array.init nc Fun.id)
           in
           let pins = Array.fold_left (fun a (_, c, _) -> a + c) 0 per in
@@ -2040,7 +1189,7 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
           else begin
             (* union of the per-corner changed sets, deduped with an
                epoch mark (slot 0's scratch — the fan-out has joined) *)
-            let scr = plan_scratch_for p 0 in
+            let scr = scrs.(0) in
             scr.ps_epoch <- scr.ps_epoch + 1;
             let epoch = scr.ps_epoch in
             let u = ivec_create () in
@@ -2061,12 +1210,10 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
           end
         end
         else begin
-          let scr = plan_scratch_for p 0 in
           let cv = if collect_touched then Some (ivec_create ()) else None in
-          let pf, lf = fwd scr ~k0:0 ~k1:(nc - 1) ~changed:cv in
-          let pb, lb = bwd scr ~k0:0 ~k1:(nc - 1) ~changed:cv in
-          Mbr_obs.Metrics.incr ~by:(pf + pb) m_skew_frontier;
-          Mbr_obs.Metrics.incr ~by:(lf + lb) m_skew_levels;
+          let pins, lvls = run (scratch_for t 0) ~k0:0 ~k1:(nc - 1) ~changed:cv in
+          Mbr_obs.Metrics.incr ~by:pins m_skew_frontier;
+          Mbr_obs.Metrics.incr ~by:lvls m_skew_levels;
           cv
         end
       in
@@ -2077,8 +1224,7 @@ let update_skews_impl ?(jobs = 1) ?cancel t ~collect_touched assignments =
         let seen = Array.make (max (Array.length regs) 1) false in
         let acc = ref [] in
         for i = 0 to v.iv_len - 1 do
-          let pid = v.iv_a.(i) in
-          let pn = Design.pin t.dsg pid in
+          let pn = Design.pin t.dsg v.iv_a.(i) in
           match pn.Types.p_kind with
           | Types.Pin_d _ | Types.Pin_q _ ->
             let cid = pn.Types.p_cell in
@@ -2106,11 +1252,13 @@ let update_skews_touched ?jobs ?cancel t assignments =
    worst arrival over corners is the max, the worst required the min,
    and the worst slack is the min of the per-corner slacks — note this
    is NOT (min required) - (max arrival), which could pair values from
-   different corners. *)
+   different corners. Endpoint folds walk the endpoint slots, i.e.
+   ascending pin order, so a TNS sum has one canonical order whatever
+   the engine's history. *)
 
 (* Worst slack over the corner planes for an in-graph pin, or +inf when
    unreached in every corner. The allocation-free core under [slack],
-   [wns_tns] and [reg_pin_slack]: no option, no intermediate list. *)
+   [wns_tns] and [reg_pin_slack]. *)
 let pin_worst_slack t pid =
   let nc = Array.length t.corners in
   let worst = ref infinity in
@@ -2124,9 +1272,22 @@ let pin_worst_slack t pid =
   done;
   !worst
 
+(* +inf is also a legal slack value: a pin is timed when some corner
+   has both an arrival and a required *)
+let timed t pid =
+  let nc = Array.length t.corners in
+  let valid = ref false in
+  for k = 0 to nc - 1 do
+    if
+      pget t.arrival ((pid * nc) + k) > neg_infinity
+      && pget t.required ((pid * nc) + k) < infinity
+    then valid := true
+  done;
+  !valid
+
 let arrival t pid =
   ensure t;
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if not (in_graph t pid) then None
   else begin
     let nc = Array.length t.corners in
     let best = ref neg_infinity in
@@ -2139,7 +1300,7 @@ let arrival t pid =
 
 let required t pid =
   ensure t;
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if not (in_graph t pid) then None
   else begin
     let nc = Array.length t.corners in
     let best = ref infinity in
@@ -2152,29 +1313,17 @@ let required t pid =
 
 let slack t pid =
   ensure t;
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if not (in_graph t pid) then None
   else begin
     let s = pin_worst_slack t pid in
-    if s < infinity then Some s
-    else begin
-      (* +inf is also a legal slack value; distinguish unreached *)
-      let nc = Array.length t.corners in
-      let valid = ref false in
-      for k = 0 to nc - 1 do
-        if
-          pget t.arrival ((pid * nc) + k) > neg_infinity
-          && pget t.required ((pid * nc) + k) < infinity
-        then valid := true
-      done;
-      if !valid then Some s else None
-    end
+    if s < infinity || timed t pid then Some s else None
   end
 
 let corner_slack t k pid =
   ensure t;
   if k < 0 || k >= Array.length t.corners then
     invalid_arg "Sta.corner_slack: corner index out of range";
-  if pid < 0 || pid >= t.n || not t.in_graph.(pid) then None
+  if not (in_graph t pid) then None
   else begin
     let nc = Array.length t.corners in
     let a = pget t.arrival ((pid * nc) + k)
@@ -2184,37 +1333,20 @@ let corner_slack t k pid =
 
 let endpoint_slacks t =
   ensure t;
-  List.filter_map
-    (fun (pid, _) ->
-      match slack t pid with Some s -> Some (pid, s) | None -> None)
-    t.endpoints
+  Array.fold_right
+    (fun pid acc ->
+      match slack t pid with Some s -> (pid, s) :: acc | None -> acc)
+    t.g.ep_pin []
 
-(* Single endpoint sweep over the planes — no [endpoint_slacks] list is
-   materialized. The fold visits [t.endpoints] in list order, so the
-   TNS float-summation order (and hence the bits) matches the historical
-   list-based fold exactly. *)
 let wns_tns t =
   ensure t;
   let w = ref infinity and tn = ref 0.0 in
-  List.iter
-    (fun (pid, _) ->
+  Array.iter
+    (fun pid ->
       let s = pin_worst_slack t pid in
-      if s < infinity then begin
-        if s < !w then w := s;
-        if s < 0.0 then tn := !tn +. s
-      end
-      else begin
-        let nc = Array.length t.corners in
-        let valid = ref false in
-        for k = 0 to nc - 1 do
-          if
-            pget t.arrival ((pid * nc) + k) > neg_infinity
-            && pget t.required ((pid * nc) + k) < infinity
-          then valid := true
-        done;
-        if !valid && s < !w then w := s
-      end)
-    t.endpoints;
+      if s < !w then w := s;
+      if s < 0.0 then tn := !tn +. s)
+    t.g.ep_pin;
   (!w, !tn)
 
 let wns t = fst (wns_tns t)
@@ -2226,8 +1358,8 @@ let corner_wns_tns t k =
   if k < 0 || k >= Array.length t.corners then
     invalid_arg "Sta.corner_wns_tns: corner index out of range";
   let nc = Array.length t.corners in
-  List.fold_left
-    (fun (w, tn) (pid, _) ->
+  Array.fold_left
+    (fun (w, tn) pid ->
       let a = pget t.arrival ((pid * nc) + k)
       and r = pget t.required ((pid * nc) + k) in
       if a > neg_infinity && r < infinity then begin
@@ -2235,7 +1367,7 @@ let corner_wns_tns t k =
         (Float.min w s, if s < 0.0 then tn +. s else tn)
       end
       else (w, tn))
-    (infinity, 0.0) t.endpoints
+    (infinity, 0.0) t.g.ep_pin
 
 let per_corner_wns_tns t =
   ensure t;
@@ -2248,11 +1380,11 @@ let per_corner_wns_tns t =
 
 let failing_endpoints t =
   ensure t;
-  List.fold_left
-    (fun acc (pid, _) -> if pin_worst_slack t pid < 0.0 then acc + 1 else acc)
-    0 t.endpoints
+  Array.fold_left
+    (fun acc pid -> if pin_worst_slack t pid < 0.0 then acc + 1 else acc)
+    0 t.g.ep_pin
 
-let n_endpoints t = List.length t.endpoints
+let n_endpoints t = Array.length t.g.ep_pin
 
 let output_load t pid =
   let p = Design.pin t.dsg pid in
@@ -2275,7 +1407,7 @@ let reg_pin_slack t cid want_d =
         | Types.Pin_q _ -> (not want_d) && p.Types.p_net <> None
         | _ -> false
       in
-      if relevant && pid >= 0 && pid < t.n && t.in_graph.(pid) then begin
+      if relevant && in_graph t pid then begin
         let s = pin_worst_slack t pid in
         if s < acc then s else acc
       end

@@ -9,22 +9,24 @@
     (setup checks against the capturing register's skewed clock) and
     output ports.
 
-    The engine is incremental: it remembers the design revision and
-    placement revision it has absorbed and {!refresh} drains the edit
-    logs from there, splicing only the touched arcs into the graph,
-    repairing the topological order locally and re-propagating
-    arrivals/requireds with a dirty-pin worklist that stops where values
-    converge. {!analyze} remains the full-propagation fallback and is
-    what {!refresh} degrades to (via an internal rebuild) when an edit
-    batch is structural in a way local repair cannot express or touches
-    more of the graph than recomputing it would cost.
+    The engine keeps one timing graph: a CSR image of the data arcs
+    with a topological order, a level per pin and packed startpoint /
+    endpoint slots, computed straight from the design by {!build} and
+    by any {!refresh} whose batch adds or removes a cell or rewires a
+    net. Per-arc delays live alongside it, one row per destination pin,
+    filled from a snapshot of the pins' geometry. Every propagation —
+    {!analyze} with every pin seeded, {!refresh} seeded with the pins
+    its batch touched, {!update_skews} seeded with the moved registers'
+    pins — is the same seeded pass that recomputes a pin only when a
+    seed or a neighbour actually moved, so all of them reach the same
+    fixpoint bit for bit.
 
     The engine is corner-indexed: it carries a set of {!Corner.t}
     derate factors and maintains one flat [Bigarray] float64
     arrival/required plane per corner over the single shared graph —
-    every propagation (full analyze, refresh worklists, levelized skew
-    passes) walks each arc once and relaxes all corners against its
-    per-corner memoized delays, reading and writing unboxed doubles. Plain accessors
+    every propagation walks each arc once and relaxes all corners
+    against its per-corner delays, reading and writing unboxed
+    doubles. Plain accessors
     ({!slack}, {!wns_tns}, {!reg_d_slack}, ...) report worst-corner
     values (worst slack = min over per-corner slacks); use
     {!corner_slack} / {!per_corner_wns_tns} to see individual corners,
@@ -45,8 +47,9 @@ val default_config : config
 type t
 
 exception Combinational_cycle of Mbr_netlist.Types.pin_id list
-(** Raised by {!build} (and by the internal rebuild a {!refresh} may
-    fall back to) when the data graph is cyclic. The payload is a
+(** Raised by {!build} and {!refresh} when the data graph is cyclic;
+    a refresh raises before it changes anything, so undoing the edit
+    and refreshing again recovers. The payload is a
     witness pin path in data-flow order, closed by repeating the entry
     pin: [[p0; p1; ...; p0]]. Render it with {!cycle_to_string}; a
     [Printexc] printer is registered for raw backtraces. *)
@@ -94,37 +97,32 @@ val analyze : t -> unit
     Absorbs pending placement moves (every delay is recomputed) but not
     structural design edits — use {!refresh} after netlist surgery. *)
 
-val refresh : ?rebuild_threshold:float -> t -> unit
+val refresh : t -> unit
 (** Bring the analysis up to date with everything logged on the design
     and placement since the engine last looked: cells added/removed/
-    retyped, nets rewired, cells moved. Affected net arcs are
-    unspliced/respliced in place, new register/port pins are slotted
-    into the topological order as pure sources/sinks, and arrivals/
-    requireds are re-propagated from the dirty pins only, stopping as
-    soon as values stop changing. Produces bit-identical results to a
-    fresh {!build} + {!analyze} (property-tested).
-
-    Falls back to a full rebuild — counted by {!full_builds} — when a
-    combinational cell was added or removed, when a new arc contradicts
-    the existing topological order, or when the touched-pin estimate
-    exceeds [rebuild_threshold] (default 0.25) of the graph's pins —
-    the incremental splice costs ~10x more per touched pin than the
-    batched full build, so bulk edit batches (e.g. a whole composition
-    pass) are cheaper to rebuild while localized ECOs stay on the
-    incremental path.
+    retyped, nets rewired, cells moved. A batch holding a
+    [Cell_added], [Cell_removed] or [Net_changed] edit recomputes the
+    graph from the design (raising {!Combinational_cycle} before the
+    engine changes); a move- or retype-only batch keeps it. Either way
+    only the delay rows of pins on dirty nets and of touched cells are
+    refilled — after a rebuild also those of pins whose arcs or
+    start/endpoint status changed, every other row being carried over —
+    and arrivals/requireds are re-propagated from those pins, stopping
+    as soon as values stop changing. Produces bit-identical results to a fresh
+    {!build} + {!analyze} (property-tested, corner by corner).
 
     Telemetry (no-op unless [Mbr_obs] is enabled): each non-trivial
-    call runs under an ["sta.refresh"] trace span; the registry
-    counters [sta.refreshes], [sta.rebuild_fallbacks] and
-    [sta.dirty_pins] record how often the incremental path held and
-    how many pins seeded each re-propagation. *)
+    call on an analyzed engine runs under an ["sta.refresh"] trace
+    span; the registry counters [sta.refreshes] and [sta.dirty_pins]
+    record how many seeded repairs ran and how many pins seeded
+    them. *)
 
 val full_builds : t -> int
-(** Full graph constructions so far: 1 for {!build} plus one per
-    internal rebuild a {!refresh} fell back to. *)
+(** Graph constructions so far: 1 for {!build} plus one per
+    {!refresh} whose batch changed the structure. *)
 
 val refreshes : t -> int
-(** Refreshes that took the incremental path. *)
+(** Seeded repairs run by {!refresh} on an analyzed engine. *)
 
 val update_skews :
   ?jobs:int ->
@@ -136,13 +134,12 @@ val update_skews :
     assignments, collects the union forward frontier of the changed
     registers' Q pins and the union backward frontier of their D pins
     once (epoch-stamped marks — no per-register cone chasing), and runs
-    one topo-level-ordered batched pass per direction over flat
-    per-corner planes, reusing cached arc delays (placement and netlist
-    must be unchanged since the last {!analyze}). Orders of magnitude
+    one seeded pass per direction over flat per-corner planes, reusing
+    the filled arc delays (placement and netlist must be unchanged
+    since the last {!analyze} or {!refresh}). Orders of magnitude
     cheaper than a full pass when few registers move; produces
-    bit-identical slacks to the convergence-driven worklist and to
-    {!analyze} (property-tested). Falls back to a full analysis when
-    the engine has never been analyzed.
+    bit-identical slacks to {!analyze} (property-tested). Falls back to
+    a full analysis when the engine has never been analyzed.
 
     With [jobs > 1] on a multi-corner engine the corners propagate in
     parallel on [Mbr_util.Pool] (capped at one task per corner):
@@ -208,7 +205,9 @@ val tns : t -> float
     slacks, <= 0). *)
 
 val wns_tns : t -> float * float
-(** [(wns, tns)] from a single endpoint sweep. *)
+(** [(wns, tns)] from a single endpoint sweep. Endpoints are visited in
+    ascending pin order, so the TNS sum is the same bits whatever
+    sequence of builds and refreshes produced the engine. *)
 
 val corner_wns_tns : t -> int -> float * float
 (** [(wns, tns)] under one corner, by index into {!corners}. *)

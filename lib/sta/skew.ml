@@ -36,11 +36,10 @@ let step cfg s_d s_q =
    non-negative entry: because the move deltas are Jacobi (all read
    under the pre-sweep assignment), visiting order cannot change the
    move set, so the sorted early-exit sweep computes exactly the move
-   set of a whole-design sweep ([full_sweep:true], kept as the
-   property-test reference) while reading O(active + touched) slacks
-   per iteration instead of O(registers). *)
-let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
-    ?cancel eng =
+   set of a whole-design sweep (the test suite keeps one as its oracle)
+   while reading O(active + touched) slacks per iteration instead of
+   O(registers). *)
+let optimize ?(config = default_config) ?(jobs = 1) ?cancel eng =
   (* never fan the per-corner sweeps out to more domains than the host
      actually has: on a single hardware thread the per-sweep domain
      spawn + join overhead (x2 passes x iterations) costs far more
@@ -72,10 +71,9 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
     sd.(i) <- Timing_view.reg_d_slack tv r;
     sq.(i) <- Timing_view.reg_q_slack tv r
   in
-  if not full_sweep then
-    for i = 0 to n - 1 do
-      refresh_slacks i
-    done;
+  for i = 0 to n - 1 do
+    refresh_slacks i
+  done;
   (* scratch for the per-sweep criticality ordering *)
   let order = Array.make (max 1 n) 0 in
   let sweeps = ref 0 in
@@ -93,54 +91,40 @@ let optimize ?(config = default_config) ?(full_sweep = false) ?(jobs = 1)
           assignment, then apply all moves at once; the engine patches
           only the affected timing cones. *)
        let moves = ref [] in
-       if full_sweep then
-         for i = n - 1 downto 0 do
-           let r = regs.(i) in
-           let delta =
-             step config
-               (Timing_view.reg_d_slack tv r)
-               (Timing_view.reg_q_slack tv r)
-           in
+       (* worst slack first: collect the active set and sort it by
+          criticality (ties by index for determinism). In the full
+          sorted order the active set is exactly the prefix below
+          slack 0, so stopping at the frontier = walking only [sub];
+          everything past it provably cannot move *)
+       let na = ref 0 in
+       for i = 0 to n - 1 do
+         if crit i < 0.0 then begin
+           order.(!na) <- i;
+           incr na
+         end
+       done;
+       let sub = Array.sub order 0 !na in
+       Array.sort
+         (fun a b ->
+           let c = Float.compare (crit a) (crit b) in
+           if c <> 0 then c else compare a b)
+         sub;
+       Array.iter
+         (fun i ->
+           let delta = step config sd.(i) sq.(i) in
            let next = clamp (cur.(i) +. delta) in
-           if Float.abs (next -. cur.(i)) > 0.5 then moves := (i, next) :: !moves
-         done
-       else begin
-         (* worst slack first: collect the active set and sort it by
-            criticality (ties by index for determinism). In the full
-            sorted order the active set is exactly the prefix below
-            slack 0, so stopping at the frontier = walking only [sub];
-            everything past it provably cannot move *)
-         let na = ref 0 in
-         for i = 0 to n - 1 do
-           if crit i < 0.0 then begin
-             order.(!na) <- i;
-             incr na
-           end
-         done;
-         let sub = Array.sub order 0 !na in
-         Array.sort
-           (fun a b ->
-             let c = Float.compare (crit a) (crit b) in
-             if c <> 0 then c else compare a b)
-           sub;
-         Array.iter
-           (fun i ->
-             let delta = step config sd.(i) sq.(i) in
-             let next = clamp (cur.(i) +. delta) in
-             if Float.abs (next -. cur.(i)) > 0.5 then
-               moves := (i, next) :: !moves)
-           sub
-       end;
+           if Float.abs (next -. cur.(i)) > 0.5 then
+             moves := (i, next) :: !moves)
+         sub;
        if !moves = [] then raise Exit;
        let assignments = List.map (fun (i, next) -> (regs.(i), next)) !moves in
        let touched = Engine.update_skews_touched ~jobs ?cancel eng assignments in
        List.iter (fun (i, next) -> cur.(i) <- next) !moves;
-       if not full_sweep then
-         List.iter
-           (fun r ->
-             if r >= 0 && r < Array.length slot && slot.(r) >= 0 then
-               refresh_slacks slot.(r))
-           touched;
+       List.iter
+         (fun r ->
+           if r >= 0 && r < Array.length slot && slot.(r) >= 0 then
+             refresh_slacks slot.(r))
+         touched;
        let wns, tns = Timing_view.wns_tns tv in
        if (tns, wns) > (!best_tns, !best_wns) then begin
          best_tns := tns;

@@ -30,7 +30,6 @@ type report = {
 
 val optimize :
   ?config:config ->
-  ?full_sweep:bool ->
   ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
   Engine.t ->
@@ -48,10 +47,9 @@ val optimize :
     [step] returns 0 for every register outside the worklist and the
     sweep is Jacobi (deltas all read under the pre-sweep assignment),
     so the move set (and hence the result, bit for bit) is identical to
-    examining every register in any order. [~full_sweep:true] forces
-    the whole-design sweep; it exists as the reference implementation
-    for the equivalence property test and for diagnostics. The register
-    index comes from {!Engine.register_index} — no per-call hashing.
+    examining every register in any order (the equivalence suite keeps
+    a whole-design sweep as its oracle). The register index comes from
+    {!Engine.register_index} — no per-call hashing.
 
     [jobs] is handed to {!Engine.update_skews_touched}: with
     [jobs > 1] on a multi-corner engine each move batch propagates its
