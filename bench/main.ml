@@ -291,7 +291,7 @@ let allocate_inputs profile =
   let g = G.generate profile in
   let eng = Mbr_sta.Engine.build ~config:g.G.sta_config g.G.placement in
   Mbr_sta.Engine.analyze eng;
-  let graph = Mbr_core.Compat.build_graph eng g.G.library in
+  let graph = fst (Mbr_core.Compat.refresh eng g.G.library) in
   let blocker_index = Mbr_core.Spatial.create () in
   List.iter
     (fun cid ->
@@ -305,9 +305,9 @@ let allocate_sweep ?(jobs_list = [ 1; 2; 4; 8 ]) profile scale =
   let p = P.scaled profile scale in
   let graph, lib, blocker_index = allocate_inputs p in
   let time_run jobs =
-    let config = { Mbr_core.Allocate.default_config with Mbr_core.Allocate.jobs } in
+    let cache = Mbr_core.Allocate.create_cache () in
     let t0 = Unix.gettimeofday () in
-    let sel = Mbr_core.Allocate.run ~config graph ~lib ~blocker_index in
+    let sel, _ = Mbr_core.Allocate.run ~jobs cache graph ~lib ~blocker_index in
     (sel, Unix.gettimeofday () -. t0)
   in
   let serial_sel, serial_t = time_run 1 in

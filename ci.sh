@@ -15,13 +15,6 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== ECO session equivalence (recompose = from-scratch run) =="
-dune exec test/test_flow_eco.exe > /dev/null
-
-echo "== ILP kernel (staged solver = oracle; reductions ablation; pool order) =="
-dune exec test/test_ilp.exe > /dev/null
-dune exec test/test_pool.exe > /dev/null
-
 echo "== examples (build + execute) =="
 for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \
           interchange; do

@@ -18,9 +18,10 @@
     The §3 formulation is independent per partition block, so the
     allocator is structured as pure block-scoped pieces:
 
-    {v blocks  = Kpart.partition graph               (serial)
-       results = map (solve_block graph ...) blocks  (serial or pooled)
-       selection = reduce results                    (serial) v}
+    {v blocks    = Kpart.partition graph                 (serial)
+       reused    = blocks whose content hash is cached   (serial)
+       results   = map (solve_block graph ...) the rest  (serial or pooled)
+       selection = reduce results                        (serial) v}
 
     {b Read-only sharing invariant.} [solve_block] only {e reads} the
     inputs it shares with its siblings — [graph] (both [infos] and the
@@ -41,23 +42,13 @@
     folds them in block order, performing exactly the additions and
     list consing the serial loop performed — so the selection
     (merges, kept, cost, counts) is bit-identical for every [jobs]
-    value, and [jobs = 1] takes the serial code path outright (no
-    domain is spawned, no pool is entered). *)
+    value and every cache state, and [jobs = 1] takes the serial code
+    path outright (no domain is spawned, no pool is entered). *)
 
 type config = {
   candidate : Candidate.config;
   partition_bound : int;  (** default 30 *)
   node_limit : int;  (** branch-and-bound cap per block *)
-  jobs : int;
-      (** worker domains for the per-block fan-out; [1] (the default)
-          solves the blocks serially on the calling domain *)
-  warm_start : bool;
-      (** let {!run_cached} seed a dirty block's branch-and-bound with
-          the previous generation's cover when the block's member set
-          is unchanged (a near-hit: same registers, perturbed
-          content). Off by default — warm starts never change a proven
-          optimum, but under a tripped node limit the returned
-          incumbent may differ from a cold solve's. *)
 }
 
 val default_config : config
@@ -95,7 +86,6 @@ val solve_block :
   ?block_id:int ->
   ?mode:[ `Ilp | `Greedy_share | `Clique ] ->
   ?cancel:Mbr_util.Cancel.t ->
-  ?warm_hint:(Mbr_netlist.Types.cell_id list * int) list ->
   config ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
@@ -107,8 +97,8 @@ val solve_block :
     call concurrently from multiple domains on the same graph.
 
     Each call runs under an ["alloc.solve_block"] trace span carrying
-    the block id ([block_id], default [-1]; {!run} and {!run_cached}
-    pass the block's array index), size and mode; [solve_time_s] is
+    the block id ([block_id], default [-1]; {!run} passes the block's
+    array index), size and mode; [solve_time_s] is
     the span's own duration, and it also feeds the
     [alloc.block_solve_s] histogram.
 
@@ -116,15 +106,7 @@ val solve_block :
     {!Mbr_ilp.Set_partition.solve}): a tripped token makes the solve
     return its current incumbent cover, still exact, just unproven
     ([optimal = false]). The heuristic modes ignore it — they are
-    already a single cheap pass.
-
-    [warm_hint] (only meaningful for [`Ilp]) describes a cover believed
-    close to optimal as [(member cids, target bits)] per candidate;
-    enumerated candidates matching an entry are passed to
-    {!Mbr_ilp.Set_partition.solve} as its [warm] incumbent seed (each
-    entry matches at most once, preserving the hint's disjointness).
-    Stale or unmatched hints are harmless — the kernel validates per
-    component and falls back to its greedy seed. *)
+    already a single cheap pass. *)
 
 val reduce :
   mode:[ `Ilp | `Greedy_share | `Clique ] -> block_result array -> selection
@@ -132,27 +114,7 @@ val reduce :
     Exposed for tests and for callers that run [solve_block]
     themselves. *)
 
-val run :
-  ?mode:[ `Ilp | `Greedy_share | `Clique ] ->
-  ?config:config ->
-  ?cancel:Mbr_util.Cancel.t ->
-  Compat.graph ->
-  lib:Mbr_liberty.Library.t ->
-  blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
-  selection
-(** [partition → solve_block per block → reduce]. With
-    [config.jobs >= 2] the blocks are fanned out over a
-    {!Mbr_util.Pool}; the selection is identical either way.
-
-    The same [cancel] token is handed to every block solve (its flag is
-    an atomic, so the pool workers all see one {!Mbr_util.Cancel.cancel}
-    at their next search node): a cancelled run still returns a
-    complete, feasible selection — each in-flight block falls back to
-    its incumbent, remaining blocks return their greedy seed almost
-    immediately (blocks whose incumbent meets the root LP bound never
-    search at all and stay proven optimal). *)
-
-(** {2 Block-level result reuse (ECO sessions)} *)
+(** {2 The allocator and its block cache} *)
 
 type cache
 (** Memo of solved blocks keyed by a content hash of everything
@@ -164,50 +126,53 @@ type cache
     hits are therefore exact: the cached cover is what [solve_block]
     would recompute, modulo node renumbering (undone via the stable
     cell ids). One cache must only ever be used with one library value.
-    Not domain-safe; owned and driven by the session's leader domain. *)
+    Not domain-safe; owned and driven by the caller's domain. *)
 
 val create_cache : unit -> cache
 
 val cache_size : cache -> int
-(** Entries currently held (= blocks of the last [run_cached]). *)
+(** Entries currently held (= blocks of the last uncancelled {!run}). *)
 
 type cache_stats = {
   blocks_resolved : int;  (** blocks actually solved this run *)
   blocks_reused : int;  (** blocks spliced in from the cache *)
 }
 
-val run_cached :
+val run :
   ?mode:[ `Ilp | `Greedy_share | `Clique ] ->
   ?config:config ->
+  ?jobs:int ->
   ?cancel:Mbr_util.Cancel.t ->
   cache ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
   blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
   selection * cache_stats
-(** {!run}, but blocks whose content hash matches a previous run are
-    spliced in from the cache and only the rest are solved (serially or
-    over the pool, per [config.jobs]); the splice happens before the
-    same deterministic {!reduce}, so the selection is identical to an
-    uncached {!run} on the same inputs (property-tested). The cache is
-    then swapped to exactly this run's blocks (generational eviction),
-    so entries for regions the design drifted away from are dropped.
-    The one observable difference: a reused block reports its original
+(** [partition → solve_block per block → reduce], where blocks whose
+    content hash matches the cache are spliced in instead of solved. A
+    fresh cache makes this the plain from-scratch allocation (every
+    block solved); the splice happens before the same deterministic
+    {!reduce}, so the selection never depends on the cache state
+    (property-tested). With [jobs >= 2] (default 1) the solved blocks
+    are fanned out over a {!Mbr_util.Pool}; the selection is identical
+    either way.
+
+    The cache is then swapped to exactly this run's blocks
+    (generational eviction), so entries for regions the design drifted
+    away from are dropped. A reused block reports its original
     [solve_time_s], so [block_times] measures solve cost, not this
-    run's wall time.
+    run's wall time. Hits and misses also bump the [alloc.cache.hit] /
+    [alloc.cache.miss] registry counters (the split this function
+    returns as {!cache_stats}, accumulated across runs).
 
-    Hits and misses also bump the [alloc.cache.hit] /
-    [alloc.cache.miss] registry counters (the same split this function
-    returns as {!cache_stats}, accumulated across rounds).
-
-    A run whose [cancel] token tripped returns its (complete, feasible)
-    selection as {!run} does, but leaves the cache generation {e
-    unswapped}: cancelled incumbents depend on where in time the token
-    tripped, and a cached entry must stay the deterministic result for
-    its key — the next uncancelled run rebuilds the generation.
-
-    With [config.warm_start] set, a missed block whose sorted member
-    cids match a block of the previous generation (a {e near-hit}: same
-    registers, different placement/slack content) is re-solved with the
-    old cover as its warm-start incumbent; each component the kernel
-    actually seeds this way bumps [ilp.warm_start_hits]. *)
+    The same [cancel] token is handed to every block solve (its flag is
+    an atomic, so the pool workers all see one {!Mbr_util.Cancel.cancel}
+    at their next search node): a cancelled run still returns a
+    complete, feasible selection — each in-flight block falls back to
+    its incumbent, remaining blocks return their greedy seed almost
+    immediately (blocks whose incumbent meets the root LP bound never
+    search at all and stay proven optimal). It leaves the cache
+    generation {e unswapped}: cancelled incumbents depend on where in
+    time the token tripped, and a cached entry must stay the
+    deterministic result for its key — the next uncancelled run
+    rebuilds the generation. *)

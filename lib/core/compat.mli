@@ -91,17 +91,6 @@ type graph = {
     produces a fresh value, it never mutates one a worker might still
     hold. *)
 
-val build_graph :
-  ?config:config ->
-  Mbr_sta.Engine.t ->
-  Mbr_liberty.Library.t ->
-  graph
-(** G over the composable, placed registers. Pair checks are limited to
-    spatial-hash neighbourhoods — two feasible regions can only overlap
-    when the footprint centers are within [2 * max_dist] plus the
-    largest footprint dimension per axis, which sizes the hash bucket —
-    so construction is near-linear for clustered designs. *)
-
 type refresh_stats = {
   nodes_total : int;  (** composable registers in the new graph *)
   nodes_dirty : int;  (** nodes whose snapshot changed (or are new) *)
@@ -111,22 +100,27 @@ type refresh_stats = {
 
 val refresh :
   ?config:config ->
-  graph ->
+  ?prev:graph ->
   Mbr_sta.Engine.t ->
   Mbr_liberty.Library.t ->
   graph * refresh_stats
-(** Incremental {!build_graph}: recomputes the (cheap) per-register
-    snapshots, then re-runs the four pair checks only for pairs
-    involving a register whose snapshot differs from the previous
-    graph's — removed/retyped/newly-fixed registers drop out with their
-    edges, new composable ones are checked against their spatial
-    neighbourhood, and clean-clean pair verdicts are copied. When the
-    composable register set is unchanged (the common pure-move ECO),
-    pair checks run only over the spatial neighbourhoods of the dirty
-    registers and the new adjacency is assembled by {!Mbr_graph.Csr}
-    row rewriting — untouched rows are blitted over as raw slices.
-    Returns a new graph (the input is not mutated) that is structurally
-    identical to what {!build_graph} would build from scratch on the
-    same state: same node order (registers in ascending cell id), same
-    edge set (property-tested). [config] must match the one the
-    previous graph was built with. *)
+(** G over the composable, placed registers, revised from [prev] (the
+    empty graph when absent). Recomputes the (cheap) per-register
+    snapshots; a node is {e clean} when [prev] held a structurally
+    equal snapshot for the same register, {e dirty} otherwise. Pair
+    checks are limited to spatial-hash neighbourhoods — two feasible
+    regions can only overlap when the footprint centers are within
+    [2 * max_dist] plus the largest footprint dimension per axis, which
+    sizes the hash bucket — so the pass is near-linear for clustered
+    designs. Within them, a clean-clean pair copies [prev]'s verdict
+    and every pair touching a dirty node re-runs the four checks.
+    Without [prev] every node is dirty: the first build is this same
+    pass with nothing to copy.
+
+    Returns a new graph (the input is not mutated) whose node order is
+    the registers in ascending cell id and whose edge set is exactly
+    the all-pairs {!compatible} relation (property-tested against both
+    a brute-force oracle and a build without [prev]). [config] must
+    match the one [prev] was built with. Every call adds its stats to
+    the [compat.nodes_dirty], [compat.pairs_checked] and
+    [compat.edges_copied] counters. *)

@@ -117,12 +117,8 @@ let m_recomposes = Mbr_obs.Metrics.counter "flow.recomposes"
 
 let m_recover_rounds = Mbr_obs.Metrics.counter "flow.recover_rounds"
 
-(* The effective allocate configuration: [options.jobs] (the frontends'
-   [-j]) overrides the config's own [jobs] field when given. *)
-let allocate_config options =
-  match options.jobs with
-  | None -> options.allocate
-  | Some j -> { options.allocate with Allocate.jobs = max 1 j }
+(* Worker domains for the two parallel stages (allocate and skew). *)
+let jobs options = match options.jobs with Some j -> max 1 j | None -> 1
 
 (* Find a legal spot for the mapped cell, preferring the LP optimum
    inside the feasible region, then widening the search. *)
@@ -256,8 +252,8 @@ let stage_skew ctx ?cancel () =
   stage ctx "skew" (fun () ->
       match ctx.options.skew with
       | Some cfg ->
-        let jobs = match ctx.options.jobs with Some j -> max 1 j | None -> 1 in
-        Some (Skew.optimize ~config:cfg ~jobs ?cancel ctx.eng)
+        Some
+          (Skew.optimize ~config:cfg ~jobs:(jobs ctx.options) ?cancel ctx.eng)
       | None ->
         Engine.refresh ctx.eng;
         None)
@@ -419,20 +415,16 @@ module Session = struct
           m
         | _ -> collect_metrics ctx)
 
+  (* The first recompose refreshes from the empty graph: same pass,
+     every node dirty. *)
   let stage_graph ctx s =
     stage ctx "compat-graph" (fun () ->
-        match s.graph with
-        | None ->
-          let g = Compat.build_graph ~config:s.options.compat s.eng s.library in
-          s.graph <- Some g;
-          g
-        | Some prev ->
-          let g, stats =
-            Compat.refresh ~config:s.options.compat prev s.eng s.library
-          in
-          s.graph <- Some g;
-          s.last_compat_stats <- Some stats;
-          g)
+        let g, stats =
+          Compat.refresh ~config:s.options.compat ?prev:s.graph s.eng s.library
+        in
+        s.graph <- Some g;
+        s.last_compat_stats <- Some stats;
+        g)
 
   (* The blocker population is every live placed register's center
      (§3.2 counts any register inside a test polygon). Instead of
@@ -481,19 +473,93 @@ module Session = struct
 
   let stage_allocate ctx s ?cancel graph =
     stage ctx "allocate" (fun () ->
-        Allocate.run_cached ~mode:s.options.mode
-          ~config:(allocate_config s.options) ?cancel s.cache graph
-          ~lib:s.library ~blocker_index:s.blocker_index)
+        Allocate.run ~mode:s.options.mode ~config:s.options.allocate
+          ~jobs:(jobs s.options) ?cancel s.cache graph ~lib:s.library
+          ~blocker_index:s.blocker_index)
 
-  (* The whole pass runs under one ["flow.recompose"] span whose
-     duration IS [runtime_s] — the stage spans nest inside it, so the
-     exported trace accounts for the run's wall time with no second
-     clock involved. *)
+  (* What one compose pass contributes to a recompose's result. The
+     main pass and every recovery round produce one, and [add_pass]
+     folds them: counts add up, the state-describing fields (scan
+     wirelength, skew report, "after" metrics) come from the latest
+     pass, and the block-time histogram stays the main pass's. *)
+  type pass = {
+    p_new_mbrs : Mbr_netlist.Types.cell_id list;  (** in creation order *)
+    p_regs_merged : int;
+    p_incomplete : int;
+    p_displacement : float;
+    p_resized : int;
+    p_cost : float;
+    p_blocks : int;
+    p_candidates : int;
+    p_all_optimal : bool;
+    p_block_times : Allocate.time_stats;
+    p_resolved : int;
+    p_reused : int;
+    p_scan_wl : float;
+    p_skew : Skew.report option;
+    p_after : Metrics.t;
+  }
+
+  let add_pass acc p =
+    {
+      (* dead (split) ids drop out through the final liveness filter
+         on [new_mbrs], so appending is enough *)
+      p_new_mbrs = acc.p_new_mbrs @ p.p_new_mbrs;
+      p_regs_merged = acc.p_regs_merged + p.p_regs_merged;
+      p_incomplete = acc.p_incomplete + p.p_incomplete;
+      p_displacement = acc.p_displacement +. p.p_displacement;
+      p_resized = acc.p_resized + p.p_resized;
+      p_cost = acc.p_cost +. p.p_cost;
+      p_blocks = acc.p_blocks + p.p_blocks;
+      p_candidates = acc.p_candidates + p.p_candidates;
+      p_all_optimal = acc.p_all_optimal && p.p_all_optimal;
+      p_block_times = acc.p_block_times;
+      p_resolved = acc.p_resolved + p.p_resolved;
+      p_reused = acc.p_reused + p.p_reused;
+      p_scan_wl = p.p_scan_wl;
+      p_skew = p.p_skew;
+      p_after = p.p_after;
+    }
+
+  (* compat-graph → blocker-index → allocate → merge → scan-restitch →
+     skew → resize → metrics-after: the part of Fig. 4 the main pass
+     and every recovery round share. *)
+  let compose_pass ctx s ?cancel () =
+    let graph = stage_graph ctx s in
+    stage_blocker_index ctx s;
+    let selection, cache_stats = stage_allocate ctx s ?cancel graph in
+    ctx.pg_resolved <- ctx.pg_resolved + cache_stats.Allocate.blocks_resolved;
+    ctx.pg_total <- ctx.pg_total + selection.Allocate.n_blocks;
+    let merged = stage_merge ctx graph selection in
+    let scan_report = stage_scan_restitch ctx in
+    let skew_report = stage_skew ctx ?cancel () in
+    let n_resized = stage_resize ctx merged.mo_new_mbrs in
+    let after = stage_metrics_after ctx in
+    ctx.pg_wns <- after.Metrics.wns;
+    {
+      p_new_mbrs = merged.mo_new_mbrs;
+      p_regs_merged = merged.mo_n_regs_merged;
+      p_incomplete = merged.mo_n_incomplete;
+      p_displacement = merged.mo_displacement;
+      p_resized = n_resized;
+      p_cost = selection.Allocate.cost;
+      p_blocks = selection.Allocate.n_blocks;
+      p_candidates = selection.Allocate.n_candidates;
+      p_all_optimal = selection.Allocate.all_optimal;
+      p_block_times = selection.Allocate.block_times;
+      p_resolved = cache_stats.Allocate.blocks_resolved;
+      p_reused = cache_stats.Allocate.blocks_reused;
+      p_scan_wl = scan_report.Mbr_dft.Scan_stitch.wirelength;
+      p_skew = skew_report;
+      p_after = after;
+    }
+
   (* One recovery round: decompose the victims (pinning the halves so
      they can never re-compose — that monotonicity is what bounds the
      loop), then re-enter the pipeline from the compat graph. The
      session's incrementality keeps each round regional: only blocks
-     the splits dirtied are re-solved, only touched cones re-timed. *)
+     the splits dirtied are re-solved, only touched cones re-timed.
+     Returns the number of splits and the round's pass. *)
   let recover_round ctx s ?cancel ~round victims =
     fst
     @@ Mbr_obs.Trace.timed_span ~name:"flow.recover"
@@ -512,26 +578,12 @@ module Session = struct
           Engine.refresh s.eng;
           rep)
     in
-    let graph = stage_graph ctx s in
-    stage_blocker_index ctx s;
-    let selection, cache_stats = stage_allocate ctx s ?cancel graph in
-    ctx.pg_resolved <- ctx.pg_resolved + cache_stats.Allocate.blocks_resolved;
-    ctx.pg_total <- ctx.pg_total + selection.Allocate.n_blocks;
-    let merged = stage_merge ctx graph selection in
-    let scan_report = stage_scan_restitch ctx in
-    let skew_report = stage_skew ctx ?cancel () in
-    let n_resized = stage_resize ctx merged.mo_new_mbrs in
-    let after = stage_metrics_after ctx in
-    ctx.pg_wns <- after.Metrics.wns;
-    ( split,
-      selection,
-      cache_stats,
-      merged,
-      scan_report,
-      skew_report,
-      n_resized,
-      after )
+    (split.Decompose.n_split, compose_pass ctx s ?cancel ())
 
+  (* The whole pass runs under one ["flow.recompose"] span whose
+     duration IS [runtime_s] — the stage spans nest inside it, so the
+     exported trace accounts for the run's wall time with no second
+     clock involved. *)
   let recompose ?cancel ?recover ?on_progress s =
     (* Single-writer gate. A caller that already holds the session
        keeps it; an unowned session is claimed for just this call
@@ -569,17 +621,7 @@ module Session = struct
       let before = stage_metrics_before ctx s ~skews_zeroed in
       ctx.pg_wns <- before.Metrics.wns;
       let n_split = stage_decompose ctx in
-      let graph = stage_graph ctx s in
-      stage_blocker_index ctx s;
-      let selection, cache_stats = stage_allocate ctx s ?cancel graph in
-      ctx.pg_resolved <- ctx.pg_resolved + cache_stats.Allocate.blocks_resolved;
-      ctx.pg_total <- ctx.pg_total + selection.Allocate.n_blocks;
-      let merged = stage_merge ctx graph selection in
-      let scan_report = stage_scan_restitch ctx in
-      let skew_report = stage_skew ctx ?cancel () in
-      let n_resized = stage_resize ctx merged.mo_new_mbrs in
-      let after = stage_metrics_after ctx in
-      ctx.pg_wns <- after.Metrics.wns;
+      let main = compose_pass ctx s ?cancel () in
       (* ---- recovery loop: worst-corner-negative MBRs go back through
          decompose → (partition → allocate → compose) until every MBR
          this pass created is clean or the round budget runs out ---- *)
@@ -611,99 +653,62 @@ module Session = struct
             Float.is_finite sl && sl < 0.0)
           (Design.registers s.design)
       in
-      let r_after = ref after in
-      let r_mbrs = ref merged.mo_new_mbrs in
-      let r_regs = ref merged.mo_n_regs_merged in
-      let r_incomplete = ref merged.mo_n_incomplete in
-      let r_displacement = ref merged.mo_displacement in
-      let r_resized = ref n_resized in
-      let r_cost = ref selection.Allocate.cost in
-      let r_blocks = ref selection.Allocate.n_blocks in
-      let r_candidates = ref selection.Allocate.n_candidates in
-      let r_all_optimal = ref selection.Allocate.all_optimal in
-      let r_resolved = ref cache_stats.Allocate.blocks_resolved in
-      let r_reused = ref cache_stats.Allocate.blocks_reused in
-      let r_scan_wl = ref scan_report.Mbr_dft.Scan_stitch.wirelength in
-      let r_skew = ref skew_report in
-      let recover_rounds = ref 0 in
-      let recover_splits = ref 0 in
-      (try
-         while !recover_rounds < budget do
-           (match cancel with
-           | Some t when Mbr_util.Cancel.cancelled t -> raise Exit
-           | _ -> ());
-           match victims () with
-           | [] -> raise Exit
-           | victims ->
-             incr recover_rounds;
-             Mbr_obs.Metrics.incr m_recover_rounds;
-             let ( split,
-                   selection,
-                   cache_stats,
-                   merged,
-                   scan_report,
-                   skew_report,
-                   n_resized,
-                   after ) =
-               recover_round ctx s ?cancel ~round:!recover_rounds victims
-             in
-             recover_splits := !recover_splits + split.Decompose.n_split;
-             r_after := after;
-             (* dead (split) ids drop out through the final liveness
-                filter on [new_mbrs], so appending is enough *)
-             r_mbrs := !r_mbrs @ merged.mo_new_mbrs;
-             r_regs := !r_regs + merged.mo_n_regs_merged;
-             r_incomplete := !r_incomplete + merged.mo_n_incomplete;
-             r_displacement := !r_displacement +. merged.mo_displacement;
-             r_resized := !r_resized + n_resized;
-             r_cost := !r_cost +. selection.Allocate.cost;
-             r_blocks := !r_blocks + selection.Allocate.n_blocks;
-             r_candidates := !r_candidates + selection.Allocate.n_candidates;
-             r_all_optimal := !r_all_optimal && selection.Allocate.all_optimal;
-             r_resolved := !r_resolved + cache_stats.Allocate.blocks_resolved;
-             r_reused := !r_reused + cache_stats.Allocate.blocks_reused;
-             r_scan_wl := scan_report.Mbr_dft.Scan_stitch.wirelength;
-             r_skew := skew_report
-         done
-       with Exit -> ());
+      let cancelled () =
+        match cancel with Some t -> Mbr_util.Cancel.cancelled t | None -> false
+      in
+      (* rounds run while budget remains, the token is untripped and
+         victims exist; each round's pass folds into the total *)
+      let rec recover_loop total ~round ~splits =
+        if round > budget || cancelled () then (total, round - 1, splits)
+        else
+          match victims () with
+          | [] -> (total, round - 1, splits)
+          | victims ->
+            Mbr_obs.Metrics.incr m_recover_rounds;
+            let n_split, p = recover_round ctx s ?cancel ~round victims in
+            recover_loop (add_pass total p) ~round:(round + 1)
+              ~splits:(splits + n_split)
+      in
+      let total, recover_rounds, recover_splits =
+        recover_loop main ~round:1 ~splits:0
+      in
       let live_mbrs =
-        List.filter (fun cid -> live_register s.design cid) !r_mbrs
+        List.filter (fun cid -> live_register s.design cid) total.p_new_mbrs
       in
       s.last_after <-
         Some
-          (!r_after, Design.revision s.design, Placement.revision s.placement);
+          ( total.p_after,
+            Design.revision s.design,
+            Placement.revision s.placement );
       s.n_recomposes <- s.n_recomposes + 1;
       Mbr_obs.Metrics.incr m_recomposes;
       {
         before;
-        after = !r_after;
+        after = total.p_after;
         n_split;
-        scan_chain_wl = !r_scan_wl;
-        merge_displacement = !r_displacement;
-        n_merges = List.length !r_mbrs;
-        n_regs_merged = !r_regs;
-        n_incomplete = !r_incomplete;
-        n_resized = !r_resized;
-        ilp_cost = !r_cost;
-        n_blocks = !r_blocks;
-        n_candidates = !r_candidates;
-        all_optimal = !r_all_optimal;
-        alloc_jobs = (allocate_config s.options).Allocate.jobs;
-        alloc_block_times = selection.Allocate.block_times;
-        skew_report = !r_skew;
+        scan_chain_wl = total.p_scan_wl;
+        merge_displacement = total.p_displacement;
+        n_merges = List.length total.p_new_mbrs;
+        n_regs_merged = total.p_regs_merged;
+        n_incomplete = total.p_incomplete;
+        n_resized = total.p_resized;
+        ilp_cost = total.p_cost;
+        n_blocks = total.p_blocks;
+        n_candidates = total.p_candidates;
+        all_optimal = total.p_all_optimal;
+        alloc_jobs = jobs s.options;
+        alloc_block_times = total.p_block_times;
+        skew_report = total.p_skew;
         new_mbrs = live_mbrs;
         runtime_s = 0.0 (* patched below from the span's duration *);
         stage_times = List.rev ctx.stage_times_rev;
         sta_full_builds = Engine.full_builds s.eng;
         sta_refreshes = Engine.refreshes s.eng;
-        eco_blocks_resolved = !r_resolved;
-        eco_blocks_reused = !r_reused;
-        recover_rounds = !recover_rounds;
-        recover_splits = !recover_splits;
-        cancelled =
-          (match cancel with
-          | Some t -> Mbr_util.Cancel.cancelled t
-          | None -> false);
+        eco_blocks_resolved = total.p_resolved;
+        eco_blocks_reused = total.p_reused;
+        recover_rounds;
+        recover_splits;
+        cancelled = cancelled ();
       }
     in
     { result with runtime_s }
@@ -711,7 +716,5 @@ end
 
 let run ?(options = default_options) ~design ~placement ~library ~sta_config ()
     =
-  if Placement.design placement != design then
-    invalid_arg "Flow.run: placement does not belong to the given design";
   Session.recompose
     (Session.create ~options ~design ~placement ~library ~sta_config ())

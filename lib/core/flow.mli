@@ -28,9 +28,8 @@ type options = {
       (** allocator: exact ILP, the Fig. 6 greedy on the same weighted
           candidates, or the external clique heuristic *)
   jobs : int option;
-      (** worker domains for the allocate stage; [None] defers to
-          [allocate.jobs] (default 1 = serial), [Some j] overrides it.
-          The frontends' [-j 0] resolves to
+      (** worker domains for the allocate and skew stages; [None] (the
+          default) means 1 = serial. The frontends' [-j 0] resolves to
           {!Mbr_util.Pool.recommended_jobs} before it gets here. *)
   skew : Mbr_sta.Skew.config option;  (** None disables useful skew *)
   resize : Resize.config option;  (** None disables MBR sizing *)
@@ -157,10 +156,17 @@ type result = {
       are re-checked against their spatial neighbourhood;
     - the blocker index via {!Spatial.update}/add/remove for exactly
       the cells the logs name;
-    - the allocation via {!Allocate.run_cached} — blocks of the
-      K-partition whose content hash is unchanged are spliced in from
-      the cache and only blocks intersecting the dirty region are
-      re-solved.
+    - the allocation via {!Allocate.run} over the session's block
+      cache — blocks of the K-partition whose content hash is
+      unchanged are spliced in from the cache and only blocks
+      intersecting the dirty region are re-solved.
+
+    Each structure has one code path: the first recompose runs it from
+    nothing (an empty compat graph, blocker-index cursors at 0, an
+    empty block cache), later ones from the previous state. The main
+    pass and every recovery round run the same compose pass
+    (compat-graph → blocker-index → allocate → merge → scan-restitch →
+    skew → resize → metrics-after), and the result folds them.
 
     Each [recompose] is property-tested equivalent to a from-scratch
     {!run} on the same mutated inputs (same register count, ILP cost,
@@ -227,7 +233,7 @@ module Session : sig
       the recompose.
 
       [cancel] reaches the two open-ended stages — the per-block
-      branch-and-bound ({!Allocate.run_cached}) and the skew sweep
+      branch-and-bound ({!Allocate.run}) and the skew sweep
       ({!Mbr_sta.Skew.optimize}). A tripped token never aborts the
       pass: every stage still runs, the solvers fall back to their
       incumbents, the result reports [cancelled = true], and the
@@ -276,9 +282,9 @@ module Session : sig
       [Invalid_argument] on an empty set. *)
 
   val last_compat_stats : t -> Compat.refresh_stats option
-  (** Dirtiness accounting of the most recent incremental compat-graph
-      refresh; [None] until the second {!recompose} (the first builds
-      the graph from scratch). *)
+  (** Dirtiness accounting of the most recent compat-graph refresh;
+      [None] before the first {!recompose} (whose refresh starts from
+      the empty graph, so every node counts as dirty). *)
 end
 
 val run :
@@ -290,5 +296,6 @@ val run :
   unit ->
   result
 (** [Session.create] + one [Session.recompose]: the one-shot flow.
-    Raises [Invalid_argument] when [placement] was not built over
-    [design] (the two would silently drift apart mid-flow otherwise). *)
+    Raises [Invalid_argument], through [Session.create], when
+    [placement] was not built over [design] (the two would silently
+    drift apart mid-flow otherwise). *)

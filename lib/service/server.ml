@@ -750,13 +750,44 @@ let handle_line t conn line =
         route_session_verb t conn req t_recv)
     )
 
+(* Longest request line the daemon reads. A client that never sends a
+   newline would otherwise grow the reader's buffer without bound. *)
+let max_line_bytes = 1 lsl 20
+
+(* [input_line] with a cap: [`Too_long] once more than [max_line_bytes]
+   arrive without a newline; a final unterminated line is delivered,
+   as [input_line] does. Raises [Sys_error] when the peer resets. *)
+let input_bounded_line ic buf =
+  Buffer.clear buf;
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | c ->
+      if Buffer.length buf >= max_line_bytes then `Too_long
+      else begin
+        Buffer.add_char buf c;
+        go ()
+      end
+    | exception End_of_file ->
+      if Buffer.length buf = 0 then `Eof else `Line (Buffer.contents buf)
+  in
+  go ()
+
 let reader t conn () =
+  let buf = Buffer.create 256 in
   let rec loop () =
-    match input_line conn.ic with
-    | line ->
+    match input_bounded_line conn.ic buf with
+    | `Line line ->
       if String.length line > 0 then handle_line t conn line;
       loop ()
-    | exception (End_of_file | Sys_error _) -> ()
+    | `Too_long ->
+      (* answer, then drop the connection: the rest of the line is
+         never read *)
+      Mbr_obs.Metrics.incr m_requests;
+      send conn
+        (P.fail (-1) P.Bad_request
+           (Printf.sprintf "request line longer than %d bytes" max_line_bytes))
+    | `Eof | (exception Sys_error _) -> ()
   in
   loop ();
   Mutex.lock conn.wlock;
@@ -769,6 +800,10 @@ let reader t conn () =
 (* ---- lifecycle ---- *)
 
 let run ?on_ready config =
+  (* a client that closes before reading its reply must cost only its
+     connection: without this, writing the reply raises SIGPIPE and
+     kills the process before [send_json] sees the EPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let t =
     {
       config;

@@ -5,7 +5,9 @@
 
     - one {b accept loop} on the calling thread, spawning a reader
       thread per connection;
-    - {b reader threads} parse lines, answer the cheap global verbs
+    - {b reader threads} read request lines of at most 1 MiB (a longer
+      line is answered [bad-request] and its connection dropped),
+      answer the cheap global verbs
       (query-metrics, export-trace, shutdown) inline, and enqueue
       session verbs (load, perturb, recompose) onto the target
       session's bounded queue — a full queue is answered [overloaded]
@@ -40,6 +42,10 @@
     [flight_capacity] request digests), dumped via
     [telemetry {flight: true}] or — when [handle_sigusr2] — to stderr
     on SIGUSR2.
+
+    A client that disconnects early costs only its connection: [run]
+    ignores SIGPIPE, so a reply written to a closed socket marks the
+    connection dead instead of killing the process.
 
     Shutdown (the verb) stops accepting, drains every queued request,
     joins the workers, stops the sampler (final tick included, so a

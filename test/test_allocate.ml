@@ -57,6 +57,12 @@ let index_of graph =
   Array.iter (fun i -> Spatial.add idx i.Compat.cid i.Compat.center) graph.Compat.infos;
   idx
 
+(* a from-scratch allocation: a fresh block cache every call *)
+let allocate ?mode ?config graph ~lib ~blocker_index =
+  fst
+    (Allocate.run ?mode ?config (Allocate.create_cache ()) graph ~lib
+       ~blocker_index)
+
 let exact_cover graph sel =
   let n = Array.length graph.Compat.infos in
   let covered = Array.make n 0 in
@@ -69,14 +75,14 @@ let exact_cover graph sel =
 
 let test_exact_cover_small () =
   let graph = row_graph 6 in
-  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
+  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
   check "exact cover" true (exact_cover graph sel);
   check "optimal" true sel.Allocate.all_optimal
 
 let test_full_merge_of_eight () =
   (* 8 clean 1-bit registers in a row tile into one 8-bit MBR *)
   let graph = row_graph 8 in
-  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
+  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
   checki "one merge" 1 (List.length sel.Allocate.merges);
   checki "nothing kept" 0 (List.length sel.Allocate.kept);
   (match sel.Allocate.merges with
@@ -88,8 +94,8 @@ let test_ilp_never_worse_than_greedy () =
     (fun n ->
       let graph = row_graph n in
       let idx = index_of graph in
-      let ilp = Allocate.run ~mode:`Ilp graph ~lib ~blocker_index:idx in
-      let greedy = Allocate.run ~mode:`Greedy_share graph ~lib ~blocker_index:idx in
+      let ilp = allocate ~mode:`Ilp graph ~lib ~blocker_index:idx in
+      let greedy = allocate ~mode:`Greedy_share graph ~lib ~blocker_index:idx in
       let regs sel =
         List.length sel.Allocate.merges + List.length sel.Allocate.kept
       in
@@ -101,7 +107,7 @@ let test_ilp_never_worse_than_greedy () =
 let test_partition_bound_respected () =
   let graph = row_graph 40 in
   let cfg = { Allocate.default_config with Allocate.partition_bound = 10 } in
-  let sel = Allocate.run ~config:cfg graph ~lib ~blocker_index:(index_of graph) in
+  let sel = allocate ~config:cfg graph ~lib ~blocker_index:(index_of graph) in
   check "multiple blocks" true (sel.Allocate.n_blocks >= 4);
   check "still exact cover" true (exact_cover graph sel);
   List.iter
@@ -111,7 +117,7 @@ let test_partition_bound_respected () =
 
 let test_empty_graph () =
   let graph = row_graph 0 in
-  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
+  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
   checki "no merges" 0 (List.length sel.Allocate.merges);
   checki "nothing kept" 0 (List.length sel.Allocate.kept)
 
@@ -120,7 +126,7 @@ let test_isolated_nodes_kept () =
   let g = Ugraph.create 3 in
   (* no edges at all *)
   let graph = { Compat.adj = Mbr_graph.Csr.of_ugraph g; infos } in
-  let sel = Allocate.run graph ~lib ~blocker_index:(index_of graph) in
+  let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
   checki "no merges possible" 0 (List.length sel.Allocate.merges);
   Alcotest.(check (list int)) "all kept" [ 0; 1; 2 ] sel.Allocate.kept
 
@@ -130,71 +136,20 @@ let test_generated_design_ilp_beats_greedy () =
   let g = G.generate (P.tiny ~seed:31) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
   Engine.analyze eng;
-  let graph = Compat.build_graph eng g.G.library in
+  let graph = fst (Compat.refresh eng g.G.library) in
   let idx = Spatial.create () in
   List.iter
     (fun cid ->
       if Placement.is_placed g.G.placement cid then
         Spatial.add idx cid (Placement.center g.G.placement cid))
     (Design.registers g.G.design);
-  let ilp = Allocate.run ~mode:`Ilp graph ~lib:g.G.library ~blocker_index:idx in
-  let greedy = Allocate.run ~mode:`Greedy_share graph ~lib:g.G.library ~blocker_index:idx in
+  let ilp = allocate ~mode:`Ilp graph ~lib:g.G.library ~blocker_index:idx in
+  let greedy = allocate ~mode:`Greedy_share graph ~lib:g.G.library ~blocker_index:idx in
   let regs sel = List.length sel.Allocate.merges + List.length sel.Allocate.kept in
   check "exact cover (ilp)" true (exact_cover graph ilp);
   check "exact cover (greedy)" true (exact_cover graph greedy);
   check "Fig.6 direction" true (regs ilp <= regs greedy);
   check "some merges happen" true (List.length ilp.Allocate.merges > 0)
-
-(* Warm starts: a cached block whose exact content key misses but whose
-   member set matches the previous generation re-solves with the old
-   cover as the branch-and-bound's starting incumbent. Observable two
-   ways: ilp.warm_start_hits moves, and — the safety half — the warm
-   solve still lands on the same proven optimum as a cold solve of the
-   identical graph. *)
-let test_warm_start_near_hit () =
-  let g = G.generate (P.tiny ~seed:21) in
-  let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  let graph = Compat.build_graph eng g.G.library in
-  let idx = index_of graph in
-  let config = { Allocate.default_config with Allocate.warm_start = true } in
-  let cache = Allocate.create_cache () in
-  let cold, s_cold =
-    Allocate.run_cached ~config cache graph ~lib:g.G.library ~blocker_index:idx
-  in
-  check "cold run merges something" true (cold.Allocate.merges <> []);
-  checki "cold: nothing reused" 0 s_cold.Allocate.blocks_reused;
-  (* drift every register's slack a little: every content key misses,
-     every member set survives — all misses are near-hits *)
-  let graph' =
-    { graph with
-      Compat.infos =
-        Array.map
-          (fun (i : Compat.reg_info) ->
-            { i with Compat.d_slack = i.Compat.d_slack +. 0.5 })
-          graph.Compat.infos
-    }
-  in
-  Mbr_obs.Metrics.enable ();
-  let hits = Mbr_obs.Metrics.counter "ilp.warm_start_hits" in
-  let before = Mbr_obs.Metrics.counter_value hits in
-  let warm, s_warm =
-    Allocate.run_cached ~config cache graph' ~lib:g.G.library
-      ~blocker_index:idx
-  in
-  Mbr_obs.Metrics.disable ();
-  checki "near-hits are not exact hits" 0 s_warm.Allocate.blocks_reused;
-  check "warm-start seeds counted" true
-    (Mbr_obs.Metrics.counter_value hits > before);
-  let plain =
-    Allocate.run ~config:{ config with Allocate.warm_start = false } graph'
-      ~lib:g.G.library ~blocker_index:idx
-  in
-  check "same cost as a cold solve" true
-    (Float.abs (plain.Allocate.cost -. warm.Allocate.cost) <= 1e-9);
-  Alcotest.(check (list int)) "same kept" plain.Allocate.kept warm.Allocate.kept;
-  checki "same merge count"
-    (List.length plain.Allocate.merges)
-    (List.length warm.Allocate.merges)
 
 let () =
   Alcotest.run "mbr_core.allocate"
@@ -212,10 +167,5 @@ let () =
           Alcotest.test_case "rows" `Quick test_ilp_never_worse_than_greedy;
           Alcotest.test_case "generated design" `Quick
             test_generated_design_ilp_beats_greedy;
-        ] );
-      ( "warm-start",
-        [
-          Alcotest.test_case "near-hit seeds the B&B, optimum unchanged"
-            `Quick test_warm_start_near_hit;
         ] );
     ]

@@ -71,10 +71,10 @@ let index_of (graph : Compat.graph) =
   idx
 
 let run_with_jobs ~mode ~jobs ?(bound = 30) graph ~lib ~blocker_index =
-  let config =
-    { Allocate.default_config with Allocate.jobs; partition_bound = bound }
-  in
-  Allocate.run ~mode ~config graph ~lib ~blocker_index
+  let config = { Allocate.default_config with Allocate.partition_bound = bound } in
+  fst
+    (Allocate.run ~mode ~config ~jobs (Allocate.create_cache ()) graph ~lib
+       ~blocker_index)
 
 let test_row_graphs_all_modes () =
   (* bound 5 so even small rows produce several blocks to fan out *)
@@ -118,7 +118,9 @@ let test_solve_block_matches_run () =
          blocks)
   in
   let manual = Allocate.reduce ~mode:`Ilp results in
-  let auto = Allocate.run ~config graph ~lib ~blocker_index:idx in
+  let auto, _ =
+    Allocate.run ~config (Allocate.create_cache ()) graph ~lib ~blocker_index:idx
+  in
   check "manual pipeline = run" true (key manual = key auto);
   check "block results carry candidates" true
     (Array.for_all (fun r -> r.Allocate.block_candidates > 0) results);
@@ -146,7 +148,7 @@ let design_inputs seed =
   let g = G.generate (P.tiny ~seed) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
   Engine.analyze eng;
-  let graph = Compat.build_graph eng g.G.library in
+  let graph = fst (Compat.refresh eng g.G.library) in
   let idx = Spatial.create () in
   List.iter
     (fun cid ->

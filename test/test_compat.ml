@@ -146,7 +146,7 @@ let eng =
   Engine.analyze e;
   e
 
-let graph = Compat.build_graph eng g.G.library
+let graph, _ = Compat.refresh eng g.G.library
 
 let test_graph_nodes_are_composable () =
   Array.iter
@@ -209,13 +209,31 @@ let test_reg_info_matches_engine () =
         (i.Compat.d_slack = Engine.reg_d_slack eng i.Compat.cid))
     graph.Compat.infos
 
+(* The first pair on which a graph's adjacency disagrees with the
+   brute-force all-pairs [compatible] oracle, as (i, j, oracle's
+   verdict); [None] when the graph is exactly the oracle's. *)
+let oracle_mismatch cfg (graph : Compat.graph) =
+  let infos = graph.Compat.infos in
+  let n = Array.length infos in
+  let found = ref None in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if !found = None then begin
+        let expect = Compat.compatible cfg infos.(i) infos.(j) in
+        if expect <> Csr.has_edge graph.Compat.adj i j then
+          found := Some (i, j, expect)
+      end
+    done
+  done;
+  !found
+
 (* The spatial-hash pruning must be exactly the brute-force all-pairs
    graph: the hash may only skip pairs that placement_compatible would
    reject anyway. The odd seeds shrink max_dist to 2 µm so register
    footprints dominate the bucket pitch — the regime where a pitch of
    bare [2 * max_dist] drops real edges across bucket boundaries. *)
 let pruning_matches_brute_force =
-  QCheck.Test.make ~name:"build_graph = brute-force all-pairs compatible"
+  QCheck.Test.make ~name:"refresh from empty = brute-force all-pairs compatible"
     ~count:40
     QCheck.(int_bound 1_000_000)
     (fun seed ->
@@ -225,26 +243,21 @@ let pruning_matches_brute_force =
         else { Compat.default_config with Compat.max_dist = 2.0 }
       in
       let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-      let graph = Compat.build_graph ~config:cfg eng g.G.library in
-      let infos = graph.Compat.infos in
-      let n = Array.length infos in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          let expect = Compat.compatible cfg infos.(i) infos.(j) in
-          let got = Csr.has_edge graph.Compat.adj i j in
-          if expect <> got then begin
-            ok := false;
-            QCheck.Test.fail_reportf
-              "seed %d: pair (%d, %d) cids (%d, %d): brute force %b, graph %b"
-              seed i j infos.(i).Compat.cid infos.(j).Compat.cid expect got
-          end
-        done
-      done;
-      !ok)
+      let graph, _ = Compat.refresh ~config:cfg eng g.G.library in
+      match oracle_mismatch cfg graph with
+      | None -> true
+      | Some (i, j, expect) ->
+        let infos = graph.Compat.infos in
+        QCheck.Test.fail_reportf
+          "seed %d: pair (%d, %d) cids (%d, %d): brute force %b, graph %b" seed
+          i j infos.(i).Compat.cid infos.(j).Compat.cid expect (not expect))
 
-(* Compat.refresh must rebuild exactly build_graph's structure — same
-   node order, same edge set — after arbitrary ECO batches. *)
+(* Compat.refresh from a previous graph must build exactly what a
+   refresh from empty builds — same node order, same edge set — and
+   both must be the brute-force oracle's graph, after arbitrary ECO
+   batches. Rounds alternate between the default ECO mix (registers
+   added, removed, retyped: the node set changes) and move-only
+   batches (the node set stays, only snapshots go dirty). *)
 let refresh_matches_fresh =
   QCheck.Test.make ~name:"refresh = fresh build over random ECO batches"
     ~count:40
@@ -252,38 +265,58 @@ let refresh_matches_fresh =
     (fun seed ->
       let g = G.generate (P.scaled (P.tiny ~seed:(seed mod 41)) 0.5) in
       let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-      let prev = ref (Compat.build_graph eng g.G.library) in
+      let prev = ref (fst (Compat.refresh eng g.G.library)) in
       let rng = Rng.create ((seed * 13) + 5) in
-      let rounds = 1 + (seed mod 3) in
-      let ok = ref true in
+      let rounds = 2 + (seed mod 3) in
+      let move_only =
+        {
+          Eco.default_config with
+          Eco.retype_frac = 0.0;
+          remove_frac = 0.0;
+          add_frac = 0.0;
+        }
+      in
+      let cids (gr : Compat.graph) =
+        Array.map (fun (i : Compat.reg_info) -> i.Compat.cid) gr.Compat.infos
+      in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
       for round = 1 to rounds do
-        ignore (Eco.perturb rng g);
-        let fresh = Compat.build_graph eng g.G.library in
-        let refreshed, stats = Compat.refresh !prev eng g.G.library in
-        if refreshed.Compat.infos <> fresh.Compat.infos then begin
-          ok := false;
-          QCheck.Test.fail_reportf "seed %d round %d: node mismatch" seed round
-        end;
+        let moves_only = (seed + round) mod 2 = 0 in
+        ignore
+          (Eco.perturb
+             ~config:(if moves_only then move_only else Eco.default_config)
+             rng g);
+        let fresh, fresh_stats = Compat.refresh eng g.G.library in
+        let refreshed, stats = Compat.refresh ~prev:!prev eng g.G.library in
         let n = Array.length fresh.Compat.infos in
-        if stats.Compat.nodes_total <> n then begin
-          ok := false;
-          QCheck.Test.fail_reportf "seed %d round %d: stats count %d <> %d"
-            seed round stats.Compat.nodes_total n
-        end;
+        if refreshed.Compat.infos <> fresh.Compat.infos then
+          fail "seed %d round %d: node mismatch" seed round;
+        if moves_only && cids refreshed <> cids !prev then
+          fail "seed %d round %d: a move-only batch changed the node set" seed
+            round;
+        if stats.Compat.nodes_total <> n then
+          fail "seed %d round %d: stats count %d <> %d" seed round
+            stats.Compat.nodes_total n;
+        if
+          fresh_stats.Compat.nodes_dirty <> n
+          || fresh_stats.Compat.edges_copied <> 0
+        then fail "seed %d round %d: a build from empty copied work" seed round;
         for v = 0 to n - 1 do
           if
             Csr.neighbors refreshed.Compat.adj v
             <> Csr.neighbors fresh.Compat.adj v
-          then begin
-            ok := false;
-            QCheck.Test.fail_reportf
-              "seed %d round %d: adjacency mismatch at node %d (cid %d)" seed
-              round v fresh.Compat.infos.(v).Compat.cid
-          end
+          then
+            fail "seed %d round %d: adjacency mismatch at node %d (cid %d)"
+              seed round v fresh.Compat.infos.(v).Compat.cid
         done;
+        (match oracle_mismatch Compat.default_config refreshed with
+        | None -> ()
+        | Some (i, j, expect) ->
+          fail "seed %d round %d: pair (%d, %d): brute force %b, refreshed %b"
+            seed round i j expect (not expect));
         prev := refreshed
       done;
-      !ok)
+      true)
 
 let () =
   Alcotest.run "mbr_core.compat"

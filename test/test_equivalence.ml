@@ -42,7 +42,7 @@ let streaming_matches_materialized =
     (fun seed ->
       let g = G.generate (P.scaled (P.tiny ~seed:(seed mod 37)) 0.5) in
       let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-      let graph = Compat.build_graph eng g.G.library in
+      let graph = fst (Compat.refresh eng g.G.library) in
       let position v = graph.Compat.infos.(v).Compat.center in
       let blocks = Kpart.partition_csr graph.Compat.adj ~position in
       let blocker_index = blocker_index_of graph in

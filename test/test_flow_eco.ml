@@ -42,45 +42,41 @@ let blocker_index_of pl =
     (Design.registers dsg);
   index
 
-(* ---- Allocate.run_cached ---- *)
+(* ---- Allocate.run over a block cache ---- *)
 
-(* Identity with run on a cold cache; total reuse on an unchanged
-   graph; identical selections either way. *)
-let test_run_cached_identity () =
+(* A fresh cache resolves every block; the same graph is then reused
+   in full, with an identical selection. *)
+let test_cache_identity () =
   let g = G.generate (profile 3) in
   let eng = Engine.build ~config:g.G.sta_config g.G.placement in
-  let graph = Compat.build_graph eng g.G.library in
+  let graph, _ = Compat.refresh eng g.G.library in
   let index = blocker_index_of g.G.placement in
-  let plain = Allocate.run graph ~lib:g.G.library ~blocker_index:index in
   let cache = Allocate.create_cache () in
   let cold, s_cold =
-    Allocate.run_cached cache graph ~lib:g.G.library ~blocker_index:index
+    Allocate.run cache graph ~lib:g.G.library ~blocker_index:index
   in
-  Alcotest.(check int) "cold: all resolved" plain.Allocate.n_blocks
+  Alcotest.(check int) "cold: all resolved" cold.Allocate.n_blocks
     s_cold.Allocate.blocks_resolved;
   Alcotest.(check int) "cold: none reused" 0 s_cold.Allocate.blocks_reused;
-  let warm, s_warm =
-    Allocate.run_cached cache graph ~lib:g.G.library ~blocker_index:index
+  let again, s_again =
+    Allocate.run cache graph ~lib:g.G.library ~blocker_index:index
   in
-  Alcotest.(check int) "warm: none resolved" 0 s_warm.Allocate.blocks_resolved;
-  Alcotest.(check int) "warm: all reused" plain.Allocate.n_blocks
-    s_warm.Allocate.blocks_reused;
-  Alcotest.(check int) "cache sized to the run" plain.Allocate.n_blocks
+  Alcotest.(check int) "again: none resolved" 0 s_again.Allocate.blocks_resolved;
+  Alcotest.(check int) "again: all reused" cold.Allocate.n_blocks
+    s_again.Allocate.blocks_reused;
+  Alcotest.(check int) "cache sized to the run" cold.Allocate.n_blocks
     (Allocate.cache_size cache);
-  List.iter
-    (fun (sel : Allocate.selection) ->
-      Alcotest.(check (float 0.0)) "cost" plain.Allocate.cost sel.Allocate.cost;
-      Alcotest.(check (list int)) "kept" plain.Allocate.kept sel.Allocate.kept;
-      Alcotest.(check int) "merge count"
-        (List.length plain.Allocate.merges)
-        (List.length sel.Allocate.merges);
-      List.iter2
-        (fun (a : Mbr_core.Candidate.t) (b : Mbr_core.Candidate.t) ->
-          Alcotest.(check (list int)) "members" a.members b.members;
-          Alcotest.(check (list int)) "member cids" a.member_cids b.member_cids;
-          Alcotest.(check (float 0.0)) "weight" a.weight b.weight)
-        plain.Allocate.merges sel.Allocate.merges)
-    [ cold; warm ]
+  Alcotest.(check (float 0.0)) "cost" cold.Allocate.cost again.Allocate.cost;
+  Alcotest.(check (list int)) "kept" cold.Allocate.kept again.Allocate.kept;
+  Alcotest.(check int) "merge count"
+    (List.length cold.Allocate.merges)
+    (List.length again.Allocate.merges);
+  List.iter2
+    (fun (a : Mbr_core.Candidate.t) (b : Mbr_core.Candidate.t) ->
+      Alcotest.(check (list int)) "members" a.members b.members;
+      Alcotest.(check (list int)) "member cids" a.member_cids b.member_cids;
+      Alcotest.(check (float 0.0)) "weight" a.weight b.weight)
+    cold.Allocate.merges again.Allocate.merges
 
 (* ---- Flow.Session counters ---- *)
 
@@ -364,8 +360,8 @@ let () =
   Alcotest.run "mbr_core.flow_eco"
     [
       ( "allocate-cache",
-        [ Alcotest.test_case "run_cached identity + reuse" `Quick
-            test_run_cached_identity ] );
+        [ Alcotest.test_case "cache identity + reuse" `Quick
+            test_cache_identity ] );
       ( "session",
         [
           Alcotest.test_case "reuse counters" `Quick test_session_counters;

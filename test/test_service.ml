@@ -259,6 +259,53 @@ let test_malformed_lines () =
   ignore (get_ok (C.query_metrics c));
   ignore (get_ok (C.shutdown c))
 
+(* Clients that write and close without reading: every reply the
+   daemon writes lands on a closed socket. That must cost only the
+   connection (EPIPE), never the process (SIGPIPE). *)
+let test_early_close () =
+  with_server @@ fun socket_path ->
+  let lines = String.concat "" (List.init 8 (fun _ -> "not json\n")) in
+  for _ = 1 to 5 do
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX socket_path);
+    ignore (Unix.write_substring fd lines 0 (String.length lines));
+    Unix.close fd
+  done;
+  let c = C.connect socket_path in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  ignore (get_ok (C.query_metrics c));
+  ignore (get_ok (C.shutdown c))
+
+(* A line past the daemon's 1 MiB limit is answered bad-request and its
+   connection dropped; the daemon keeps serving everyone else. *)
+let test_oversized_line () =
+  with_server @@ fun socket_path ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket_path);
+  (* a daemon that waits for the newline fails the test, not hangs it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+  let big = Bytes.make (2 lsl 20) 'x' in
+  (* the daemon stops reading at its limit and closes, so the tail of
+     the write fails *)
+  (try ignore (Unix.write fd big 0 (Bytes.length big))
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  let ic = Unix.in_channel_of_descr fd in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
+      (match P.response_of_json (J.of_string (input_line ic)) with
+      | Ok { P.id; result = Error e } ->
+        checki "uncorrelated id" (-1) id;
+        Alcotest.(check string) "code" "bad-request"
+          (P.error_code_to_string e.P.code)
+      | _ -> Alcotest.fail "expected a bad-request response");
+      check "connection dropped" true
+        (match input_line ic with
+        | _ -> false
+        | exception (End_of_file | Sys_error _) -> true));
+  let c = C.connect socket_path in
+  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
+  ignore (get_ok (C.query_metrics c));
+  ignore (get_ok (C.shutdown c))
+
 let test_cancelled_recompose_usable () =
   with_server @@ fun socket_path ->
   let c = C.connect socket_path in
@@ -589,6 +636,9 @@ let () =
         [
           Alcotest.test_case "smoke" `Quick test_smoke;
           Alcotest.test_case "malformed lines" `Quick test_malformed_lines;
+          Alcotest.test_case "client closes before reading" `Quick
+            test_early_close;
+          Alcotest.test_case "oversized line" `Quick test_oversized_line;
           Alcotest.test_case "cancelled recompose leaves session usable" `Quick
             test_cancelled_recompose_usable;
           Alcotest.test_case "overload backpressure" `Quick
