@@ -93,13 +93,13 @@ let kernel_tests () =
   in
   (* Bron-Kerbosch on a 30-node random graph *)
   let g30 =
-    let g = Mbr_graph.Ugraph.create 30 in
+    let b = Mbr_graph.Csr.Builder.create 30 in
     for i = 0 to 29 do
       for j = i + 1 to 29 do
-        if Mbr_util.Rng.chance rng 0.3 then Mbr_graph.Ugraph.add_edge g i j
+        if Mbr_util.Rng.chance rng 0.3 then Mbr_graph.Csr.Builder.add_edge b i j
       done
     done;
-    g
+    Mbr_graph.Csr.Builder.finish b
   in
   let bk_test =
     Test.make ~name:"bron-kerbosch.30n-p0.3"

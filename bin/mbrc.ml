@@ -513,45 +513,6 @@ let socket_arg =
   Arg.(value & opt string Mbr_service.Server.default_config.Mbr_service.Server.socket_path
        & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
-let serve_cmd =
-  let run tele socket workers queue_limit alloc_jobs =
-    with_telemetry tele @@ fun () ->
-    (* the daemon's query-metrics verb is only useful live *)
-    Mbr_obs.Metrics.enable ();
-    Printf.eprintf "mbrd: serving on %s\n%!" socket;
-    Mbr_service.Server.run
-      {
-        Mbr_service.Server.default_config with
-        Mbr_service.Server.socket_path = socket;
-        workers;
-        queue_limit;
-        alloc_jobs;
-      };
-    Printf.eprintf "mbrd: drained, exiting\n%!"
-  in
-  let workers_arg =
-    Arg.(value & opt int 0 & info [ "workers" ] ~docv:"N"
-           ~doc:"Executor worker domains (0 = auto-detect cores).")
-  in
-  let queue_limit_arg =
-    Arg.(value & opt int Mbr_service.Server.default_config.Mbr_service.Server.queue_limit
-         & info [ "queue-limit" ] ~docv:"N"
-             ~doc:"Pending requests per session before the daemon answers \
-                   overloaded (explicit backpressure).")
-  in
-  let alloc_jobs_arg =
-    Arg.(value & opt int 1 & info [ "alloc-jobs" ] ~docv:"N"
-           ~doc:"Nested allocate-stage fan-out inside each recompose \
-                 (default 1: concurrency comes from serving many sessions).")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the mbrd ECO daemon in the foreground: many named flow \
-             sessions behind a line-delimited JSON protocol on a Unix socket. \
-             Stops on the shutdown verb.")
-    Term.(const run $ telemetry_term $ socket_arg $ workers_arg
-          $ queue_limit_arg $ alloc_jobs_arg)
-
 let client_cmd =
   let module C = Mbr_service.Client in
   let module Pr = Mbr_service.Protocol in
@@ -810,4 +771,4 @@ let () =
   let info = Cmd.info "mbrc" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info
     [ run_cmd; eco_cmd; table1_cmd; fig5_cmd; fig6_cmd; ablations_cmd;
-      export_cmd; compose_cmd; example_cmd; serve_cmd; client_cmd; top_cmd ]))
+      export_cmd; compose_cmd; example_cmd; client_cmd; top_cmd ]))

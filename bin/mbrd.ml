@@ -1,10 +1,9 @@
-(* mbrd — the standalone ECO-service daemon.
+(* mbrd — the ECO-service daemon.
 
-   Exactly `mbrc serve` without the rest of the toolbox: holds many
-   named Flow.Sessions behind a line-delimited JSON protocol on a
-   Unix-domain socket and serves load / perturb / recompose /
-   query-metrics / export-trace / shutdown. See DESIGN.md §14 for the
-   protocol and the concurrency architecture. *)
+   Holds many named Flow.Sessions behind a line-delimited JSON
+   protocol on a Unix-domain socket and serves load / perturb /
+   recompose / query-metrics / export-trace / shutdown. See DESIGN.md
+   §14 for the protocol and the concurrency architecture. *)
 
 open Cmdliner
 module S = Mbr_service.Server

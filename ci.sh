@@ -22,13 +22,19 @@ for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \
   dune exec "examples/$ex.exe" > /dev/null
 done
 
-echo "== QoR anchors (D1 x0.5: seeded, must reproduce exactly) =="
-after=$(dune exec bin/mbrc.exe -- run -p d1 --scale 0.5 | grep '^after :')
-for anchor in 'regs=477' 'tns=-14190.6' 'fail=648/2000'; do
-  case "$after" in
-    *" $anchor "*) ;;
-    *) echo "QoR anchor $anchor missing from: $after"; exit 1 ;;
-  esac
+echo "== QoR anchors (D1 x0.5 per allocator: seeded, must reproduce exactly) =="
+for spec in 'ilp:regs=477 tns=-14190.6 fail=648/2000' \
+            'clique:regs=459 tns=-14688.4 fail=629/2000' \
+            'greedy:regs=498 tns=-13914.0 fail=633/2000'; do
+  mode=${spec%%:*}
+  after=$(dune exec bin/mbrc.exe -- run -p d1 --scale 0.5 --mode "$mode" \
+          | grep '^after :')
+  for anchor in ${spec#*:}; do
+    case "$after" in
+      *" $anchor "*) ;;
+      *) echo "QoR anchor $anchor (--mode $mode) missing from: $after"; exit 1 ;;
+    esac
+  done
 done
 
 echo "== bench smoke (parallel allocate jobs = 2; ECO recompose round) =="

@@ -275,7 +275,7 @@ let partition_blocks config (graph : Compat.graph) =
   let infos = graph.Compat.infos in
   let position i = infos.(i).Compat.center in
   Array.of_list
-    (Kpart.partition_csr ~bound:config.partition_bound graph.Compat.adj ~position)
+    (Kpart.partition ~bound:config.partition_bound graph.Compat.adj ~position)
 
 (* Claim order for the parallel fan-out: largest predicted solve first.
    Block solve time is driven by the candidate enumeration, which grows

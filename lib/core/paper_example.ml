@@ -7,7 +7,6 @@ module Placement = Mbr_place.Placement
 module Library = Mbr_liberty.Library
 module Presets = Mbr_liberty.Presets
 module Cell_lib = Mbr_liberty.Cell
-module Ugraph = Mbr_graph.Ugraph
 module Csr = Mbr_graph.Csr
 module Sp = Mbr_ilp.Set_partition
 
@@ -122,15 +121,15 @@ let build () =
           })
       cids
   in
-  let g = Ugraph.create 6 in
-  List.iter (fun (a, b) -> Ugraph.add_edge g a b) edges;
+  let b = Csr.Builder.create 6 in
+  List.iter (fun (i, j) -> Csr.Builder.add_edge b i j) edges;
   let blocker_index = Spatial.create () in
   Array.iteri (fun i cid -> Spatial.add blocker_index cid centers.(i)) cids;
   {
     design = dsg;
     placement = pl;
     library;
-    graph = { Compat.adj = Csr.of_ugraph g; infos };
+    graph = { Compat.adj = Csr.Builder.finish b; infos };
     blocker_index;
     names;
   }

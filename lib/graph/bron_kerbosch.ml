@@ -1,12 +1,40 @@
 module Int_set = Set.Make (Int)
 
+(* Degeneracy ordering (repeatedly remove a minimum-degree node) keeps
+   the recursion shallow on sparse graphs. Buckets by current degree
+   with lazy deletion; each pick scans up from degree 0, which is cheap
+   on the 30-node blocks this runs on. *)
+let degeneracy_order g =
+  let n = Csr.n_nodes g in
+  let deg = Array.init n (Csr.degree g) in
+  let removed = Array.make n false in
+  let buckets = Array.make (Array.fold_left max 0 deg + 1) [] in
+  Array.iteri (fun v d -> buckets.(d) <- v :: buckets.(d)) deg;
+  Array.init n (fun _ ->
+      (* find a live minimum-degree node; stale entries are skipped *)
+      let rec next d =
+        match buckets.(d) with
+        | [] -> next (d + 1)
+        | v :: rest ->
+          buckets.(d) <- rest;
+          if removed.(v) || deg.(v) <> d then next d else v
+      in
+      let v = next 0 in
+      removed.(v) <- true;
+      Csr.iter_neighbors g v (fun w ->
+          if not removed.(w) then begin
+            deg.(w) <- deg.(w) - 1;
+            buckets.(deg.(w)) <- w :: buckets.(deg.(w))
+          end);
+      v)
+
 (* Bron-Kerbosch with pivoting:
    BK(R, P, X): if P and X empty, report R.
    Choose pivot u in P ∪ X maximizing |P ∩ N(u)|; iterate v over
    P \ N(u): BK(R+v, P ∩ N(v), X ∩ N(v)); move v from P to X. *)
 let iter_cliques g f =
-  let n = Ugraph.n_nodes g in
-  let adj = Array.init n (fun i -> Int_set.of_list (Ugraph.neighbors g i)) in
+  let n = Csr.n_nodes g in
+  let adj = Array.init n (fun i -> Int_set.of_list (Csr.neighbors g i)) in
   let rec bk r p x =
     if Int_set.is_empty p && Int_set.is_empty x then f r
     else begin
@@ -34,9 +62,7 @@ let iter_cliques g f =
         expand
     end
   in
-  (* Degeneracy-ordered outer level keeps recursion shallow on sparse
-     graphs. *)
-  let order = Ugraph.degeneracy_order g in
+  let order = degeneracy_order g in
   let pos = Array.make n 0 in
   Array.iteri (fun k v -> pos.(v) <- k) order;
   Array.iter

@@ -1,13 +1,15 @@
-(** Int-packed compressed-sparse-row adjacency for undirected graphs.
+(** Int-packed compressed-sparse-row adjacency for undirected graphs
+    over integer nodes \[0, n) — the one graph type of this library.
+    The register compatibility graph G of the paper is an instance:
+    nodes are composable registers, edges are pairwise compatibility.
 
-    The register compatibility graph at 100×-paper scale (~150k nodes,
-    millions of edges) is too hot for {!Ugraph}'s per-node [Int_set.t]
-    trees: every neighbour visit chases boxed pointers and every
-    membership test allocates a search path. A CSR graph stores the
-    whole adjacency in two flat [int array]s — [row_ptr] of length
-    n+1 and a column array holding each node's neighbours as a sorted
-    slice — so neighbour iteration is a cache-linear scan and
-    membership is a binary search over unboxed ints.
+    At 100×-paper scale G has ~150k nodes and millions of edges, so a
+    CSR graph stores the whole adjacency in two flat [int array]s —
+    [row_ptr] of length n+1 and a column array holding each node's
+    neighbours as a sorted slice — so neighbour iteration is a
+    cache-linear scan and membership is a binary search over unboxed
+    ints. The per-block subgraphs that Bron–Kerbosch enumerates are
+    the same type, cut out with {!induced}.
 
     Values are immutable once built, and {!Builder} is the only way to
     build one: a packed edge list, sorted and deduplicated once at
@@ -39,15 +41,9 @@ val edges : t -> (int * int) list
 val is_clique : t -> int list -> bool
 (** All pairs adjacent (singletons and empty are cliques). *)
 
-val of_ugraph : Ugraph.t -> t
-
-val to_ugraph : t -> Ugraph.t
-
-val induced_ugraph : t -> int array -> Ugraph.t
-(** [induced_ugraph g nodes]: subgraph on [nodes] as a {!Ugraph} (node
-    [i] of the result is [nodes.(i)]) — the bridge to the set-based
-    algorithms (Bron–Kerbosch) that stay on {!Ugraph} because they run
-    on tiny per-block subgraphs. Duplicates are rejected. *)
+val induced : t -> int array -> t
+(** [induced g nodes]: subgraph on [nodes]; node [i] of the result is
+    [nodes.(i)]. Duplicates are rejected with [Invalid_argument]. *)
 
 module Builder : sig
   type b

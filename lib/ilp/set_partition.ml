@@ -562,38 +562,3 @@ let solve ?(node_limit = 2_000_000) ?(lp_bound = true) ?(reductions = true)
   | Some t when Mbr_util.Cancel.cancelled t -> Mbr_obs.Metrics.incr m_cancelled
   | _ -> ());
   r
-
-let brute_force p =
-  let cands = prepare p in
-  let n = p.n_elems in
-  let m = Array.length cands in
-  if m > 25 then invalid_arg "Set_partition.brute_force: too many candidates";
-  let full = Bitset.of_list n (List.init n Fun.id) in
-  let best_cost = ref infinity in
-  let best_sel = ref None in
-  for mask = 0 to (1 lsl m) - 1 do
-    let covered = ref (Bitset.create n) in
-    let cost = ref 0.0 in
-    let ok = ref true in
-    for k = 0 to m - 1 do
-      if mask land (1 lsl k) <> 0 then begin
-        if not (Bitset.disjoint !covered cands.(k).set) then ok := false
-        else begin
-          covered := Bitset.union !covered cands.(k).set;
-          cost := !cost +. cands.(k).w
-        end
-      end
-    done;
-    if !ok && Bitset.equal !covered full && !cost < !best_cost then begin
-      best_cost := !cost;
-      best_sel := Some mask
-    end
-  done;
-  match !best_sel with
-  | None -> { status = Infeasible; cost = nan; chosen = []; nodes = 1 lsl m }
-  | Some mask ->
-    let chosen = ref [] in
-    for k = m - 1 downto 0 do
-      if mask land (1 lsl k) <> 0 then chosen := cands.(k).idx :: !chosen
-    done;
-    { status = Optimal; cost = !best_cost; chosen = !chosen; nodes = 1 lsl m }

@@ -91,7 +91,3 @@ val solve :
 val lp_relaxation : problem -> float option
 (** Optimal value of the LP relaxation, [None] when LP-infeasible.
     Exposed for tests and for the benchmark's ILP-vs-LP gap report. *)
-
-val brute_force : problem -> result
-(** Exhaustive oracle for tests. Exponential: use only with a handful of
-    candidates. *)

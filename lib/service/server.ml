@@ -42,18 +42,9 @@ let m_overloaded = Mbr_obs.Metrics.counter "svc.overloaded"
 
 let m_cancelled = Mbr_obs.Metrics.counter "svc.cancelled"
 
+(* one family, one series per verb — what `mbrc top` and the
+   Prometheus side consume *)
 let latency_histograms =
-  List.map
-    (fun v ->
-      (v, Mbr_obs.Metrics.histogram ("svc.latency." ^ P.verb_to_string v)))
-    P.all_verbs
-
-let latency_histogram verb = List.assq verb latency_histograms
-
-(* the labeled twins: one family, one series per verb — what `mbrc
-   top` and the Prometheus side consume (the dotted per-verb names
-   above predate labels and stay for compatibility) *)
-let labeled_latency_histograms =
   List.map
     (fun v ->
       ( v,
@@ -62,7 +53,7 @@ let labeled_latency_histograms =
           "svc.latency_s" ))
     P.all_verbs
 
-let labeled_latency verb = List.assq verb labeled_latency_histograms
+let latency_histogram verb = List.assq verb latency_histograms
 
 let g_queue_depth = Mbr_obs.Metrics.gauge "svc.exec.queue_depth"
 
@@ -462,16 +453,14 @@ let account t ?sess verb t_recv result =
     | P.Cancelled -> Mbr_obs.Metrics.incr m_cancelled
     | _ -> ()));
   Mbr_obs.Metrics.observe (latency_histogram verb) dt;
-  if t.config.session_metrics then begin
-    Mbr_obs.Metrics.observe (labeled_latency verb) dt;
-    match Option.bind sess (fun s -> s.handles) with
-    | Some h ->
-      Mbr_obs.Metrics.incr h.h_requests;
-      (match result with
-      | Error _ -> Mbr_obs.Metrics.incr h.h_errors
-      | Ok _ -> ())
-    | None -> ()
-  end;
+  (* [handles] is [None] unless session metrics are on *)
+  (match Option.bind sess (fun s -> s.handles) with
+  | Some h ->
+    Mbr_obs.Metrics.incr h.h_requests;
+    (match result with
+    | Error _ -> Mbr_obs.Metrics.incr h.h_errors
+    | Ok _ -> ())
+  | None -> ());
   let outcome, message =
     match result with
     | Ok _ -> ("ok", "")

@@ -26,11 +26,11 @@
 
     Observability: every request is a ["svc.<verb>"] trace span on the
     domain that served it, and its receipt-to-response latency feeds
-    the [svc.latency.<verb>] histogram ([svc.requests],
-    [svc.errors], [svc.overloaded], [svc.cancelled] count traffic).
-    With [session_metrics] on (the default), latency also lands in the
-    labeled [svc.latency_s{verb=...}] family, each session gets its
-    own labeled series ([svc.session.requests{session=...}],
+    the labeled [svc.latency_s{verb=...}] histogram family, one series
+    per verb ([svc.requests], [svc.errors], [svc.overloaded],
+    [svc.cancelled] count traffic). With [session_metrics] on (the
+    default), each session also gets its own labeled series
+    ([svc.session.requests{session=...}],
     [flow.session.blocks_resolved{session=...}],
     [svc.session.wns{session=...,corner=...}], ...), and the
     [telemetry] verb serves cursor-stamped snapshots/deltas plus
@@ -61,9 +61,10 @@ type config = {
           with many concurrent sessions the executor already uses the
           machine; nested fan-out only helps a lone giant session. *)
   session_metrics : bool;
-      (** register per-session labeled series and per-verb labeled
-          latency (default [true]; turn off to bound registry growth
-          under hostile session churn) *)
+      (** register per-session labeled series (default [true]; turn
+          off to bound registry growth under hostile session churn —
+          the per-verb latency family is bounded by the verb count and
+          is always on) *)
   sample_period_s : float;
       (** {!Mbr_obs.Sampler} period; [<= 0] disables the sampler
           unless [prom_file] forces it (at 1 s) *)

@@ -8,7 +8,7 @@ module Compat = Mbr_core.Compat
 module Spatial = Mbr_core.Spatial
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
-module Ugraph = Mbr_graph.Ugraph
+module Csr = Mbr_graph.Csr
 module Presets = Mbr_liberty.Presets
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
@@ -44,13 +44,13 @@ let row_graph n =
             center = Rect.center footprint;
           })
   in
-  let g = Ugraph.create n in
+  let b = Csr.Builder.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      Ugraph.add_edge g i j
+      Csr.Builder.add_edge b i j
     done
   done;
-  { Compat.adj = Mbr_graph.Csr.of_ugraph g; infos }
+  { Compat.adj = Csr.Builder.finish b; infos }
 
 let index_of graph =
   let idx = Spatial.create () in
@@ -123,9 +123,8 @@ let test_empty_graph () =
 
 let test_isolated_nodes_kept () =
   let infos = (row_graph 3).Compat.infos in
-  let g = Ugraph.create 3 in
   (* no edges at all *)
-  let graph = { Compat.adj = Mbr_graph.Csr.of_ugraph g; infos } in
+  let graph = { Compat.adj = Csr.Builder.(finish (create 3)); infos } in
   let sel = allocate graph ~lib ~blocker_index:(index_of graph) in
   checki "no merges possible" 0 (List.length sel.Allocate.merges);
   Alcotest.(check (list int)) "all kept" [ 0; 1; 2 ] sel.Allocate.kept

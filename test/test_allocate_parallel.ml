@@ -9,7 +9,7 @@ module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
 module Spatial = Mbr_core.Spatial
 module Rect = Mbr_geom.Rect
-module Ugraph = Mbr_graph.Ugraph
+module Csr = Mbr_graph.Csr
 module Presets = Mbr_liberty.Presets
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
@@ -55,13 +55,13 @@ let row_graph n =
             center = Rect.center footprint;
           })
   in
-  let g = Ugraph.create n in
+  let b = Csr.Builder.create n in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      Ugraph.add_edge g i j
+      Csr.Builder.add_edge b i j
     done
   done;
-  { Compat.adj = Mbr_graph.Csr.of_ugraph g; infos }
+  { Compat.adj = Csr.Builder.finish b; infos }
 
 let index_of (graph : Compat.graph) =
   let idx = Spatial.create () in
@@ -105,7 +105,7 @@ let test_solve_block_matches_run () =
   let bound = 6 in
   let position i = graph.Compat.infos.(i).Compat.center in
   let blocks =
-    Mbr_graph.Kpart.partition_csr ~bound graph.Compat.adj ~position
+    Mbr_graph.Kpart.partition ~bound graph.Compat.adj ~position
   in
   let config =
     { Allocate.default_config with Allocate.partition_bound = bound }

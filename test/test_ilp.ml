@@ -336,15 +336,48 @@ let cancelled_solve_still_covers =
         in
         List.sort compare covered = List.init p.Sp.n_elems Fun.id)
 
+(* Exhaustive oracle: the optimal cost over every subset of the
+   finite-weight candidates, [None] when no subset is an exact cover.
+   Exponential in the candidate count, so only for the small generated
+   instances (elements fit one int bitmask). *)
+let brute_force (p : Sp.problem) =
+  let cands =
+    Array.of_list
+      (List.filter_map
+         (fun (c : Sp.candidate) ->
+           if Float.is_finite c.Sp.weight && c.Sp.elems <> [] then
+             Some (c.Sp.weight, List.fold_left (fun m e -> m lor (1 lsl e)) 0 c.Sp.elems)
+           else None)
+         (Array.to_list p.Sp.candidates))
+  in
+  let m = Array.length cands in
+  if m > 25 then invalid_arg "brute_force: too many candidates";
+  let full = (1 lsl p.Sp.n_elems) - 1 in
+  let best = ref infinity in
+  for mask = 0 to (1 lsl m) - 1 do
+    let covered = ref 0 and cost = ref 0.0 and ok = ref true in
+    for k = 0 to m - 1 do
+      if mask land (1 lsl k) <> 0 then begin
+        let w, set = cands.(k) in
+        if !covered land set <> 0 then ok := false;
+        covered := !covered lor set;
+        cost := !cost +. w
+      end
+    done;
+    if !ok && !covered = full && !cost < !best then best := !cost
+  done;
+  if Float.is_finite !best then Some !best else None
+
+(* solver status/cost agree with the oracle's optimum *)
+let agrees_with_oracle (r : Sp.result) oracle =
+  match (r.Sp.status, oracle) with
+  | Sp.Optimal, Some cost -> Float.abs (r.Sp.cost -. cost) < 1e-9
+  | Sp.Infeasible, None -> true
+  | _, _ -> false
+
 let bb_matches_brute_force =
   QCheck.Test.make ~name:"branch-and-bound = brute force optimum" ~count:300
-    problem_arb (fun p ->
-      let a = Sp.solve p in
-      let b = Sp.brute_force p in
-      match (a.Sp.status, b.Sp.status) with
-      | Sp.Optimal, Sp.Optimal -> Float.abs (a.Sp.cost -. b.Sp.cost) < 1e-9
-      | Sp.Infeasible, Sp.Infeasible -> true
-      | _, _ -> false)
+    problem_arb (fun p -> agrees_with_oracle (Sp.solve p) (brute_force p))
 
 let bb_chosen_is_exact_cover =
   QCheck.Test.make ~name:"chosen candidates form an exact cover" ~count:300
@@ -362,13 +395,7 @@ let bb_chosen_is_exact_cover =
 
 let reduced_matches_brute_force =
   QCheck.Test.make ~name:"reduced/decomposed solver = brute force" ~count:120
-    dense_problem_arb (fun p ->
-      let a = Sp.solve p in
-      let b = Sp.brute_force p in
-      match (a.Sp.status, b.Sp.status) with
-      | Sp.Optimal, Sp.Optimal -> Float.abs (a.Sp.cost -. b.Sp.cost) < 1e-9
-      | Sp.Infeasible, Sp.Infeasible -> true
-      | _, _ -> false)
+    dense_problem_arb (fun p -> agrees_with_oracle (Sp.solve p) (brute_force p))
 
 let reductions_preserve_result =
   QCheck.Test.make ~name:"reductions never change status or cost" ~count:150

@@ -145,9 +145,11 @@ let start_server config =
   Mutex.unlock ready;
   th
 
-let with_server ?(workers = 2) ?(queue_limit = 8) f =
+let with_server ?(workers = 2) ?(queue_limit = 8) ?(session_metrics = true) f =
   let socket_path = fresh_socket () in
-  let config = { S.default_config with S.socket_path; workers; queue_limit } in
+  let config =
+    { S.default_config with S.socket_path; workers; queue_limit; session_metrics }
+  in
   let th = start_server config in
   let finished = ref false in
   Fun.protect
@@ -306,17 +308,47 @@ let test_oversized_line () =
   ignore (get_ok (C.query_metrics c));
   ignore (get_ok (C.shutdown c))
 
+(* The per-verb latency family is on even without per-session metrics.
+   The registry is process-wide, so the check reads the count before
+   and after this daemon's two recomposes. A worker accounts a request
+   just after writing its reply, so the reader polls for the count. *)
+let recompose_latency_count c =
+  let m = get_ok (C.query_metrics c) in
+  match Option.map Mbr_obs.Metrics.snapshot_of_json (J.member "metrics" m) with
+  | Some (Ok snap) ->
+    List.assoc_opt
+      (Mbr_obs.Metrics.series_name "svc.latency_s" [ ("verb", "recompose") ])
+      snap.Mbr_obs.Metrics.histograms
+    |> Option.fold ~none:0 ~some:(fun h -> h.Mbr_obs.Metrics.count)
+  | _ -> Alcotest.failf "query-metrics lacks a registry: %s" (J.to_string m)
+
 let test_cancelled_recompose_usable () =
-  with_server @@ fun socket_path ->
+  let was_enabled = Mbr_obs.Metrics.is_enabled () in
+  Mbr_obs.Metrics.enable ();
+  Fun.protect ~finally:(fun () ->
+      if not was_enabled then Mbr_obs.Metrics.disable ())
+  @@ fun () ->
+  with_server ~session_metrics:false @@ fun socket_path ->
   let c = C.connect socket_path in
   Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
   ignore (get_ok (C.load c ~session:"s" ~profile:"tiny" ~seed:2 ()));
+  let before = recompose_latency_count c in
   let e = get_err (C.recompose c ~session:"s" ~timeout_s:0.0 ()) in
   Alcotest.(check string) "deadline exceeded" "cancelled"
     (P.error_code_to_string e.P.code);
   (* the same session serves the next request normally *)
   let r = get_ok (C.recompose c ~session:"s" ()) in
   check "session usable after cancellation" true (int_field "n_merges" r >= 0);
+  let rec settled n =
+    let k = recompose_latency_count c in
+    if k >= before + 2 || n = 0 then k
+    else begin
+      Unix.sleepf 0.01;
+      settled (n - 1)
+    end
+  in
+  checki "recompose latency observed without session metrics" (before + 2)
+    (settled 500);
   ignore (get_ok (C.shutdown c))
 
 (* ---- progress streaming ----
