@@ -292,11 +292,11 @@ let allocate_inputs profile =
   let eng = Mbr_sta.Engine.build ~config:g.G.sta_config g.G.placement in
   Mbr_sta.Engine.analyze eng;
   let graph = fst (Mbr_core.Compat.refresh eng g.G.library) in
-  let blocker_index = Mbr_core.Spatial.create () in
+  let blocker_index = Mbr_geom.Spatial.create () in
   List.iter
     (fun cid ->
       if Mbr_place.Placement.is_placed g.G.placement cid then
-        Mbr_core.Spatial.add blocker_index cid
+        Mbr_geom.Spatial.add blocker_index cid
           (Mbr_place.Placement.center g.G.placement cid))
     (Mbr_netlist.Design.registers g.G.design);
   (graph, g.G.library, blocker_index)

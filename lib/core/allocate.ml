@@ -2,6 +2,7 @@ module Csr = Mbr_graph.Csr
 module Kpart = Mbr_graph.Kpart
 module Pool = Mbr_util.Pool
 module Vec = Mbr_util.Vec
+module Spatial = Mbr_geom.Spatial
 module Sp = Mbr_ilp.Set_partition
 
 type config = {

@@ -89,7 +89,7 @@ val solve_block :
   config ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
-  blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
+  blocker_index:Mbr_netlist.Types.cell_id Mbr_geom.Spatial.t ->
   block:int list ->
   block_result
 (** Enumerate and solve one partition block. Pure with respect to its
@@ -146,7 +146,7 @@ val run :
   cache ->
   Compat.graph ->
   lib:Mbr_liberty.Library.t ->
-  blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
+  blocker_index:Mbr_netlist.Types.cell_id Mbr_geom.Spatial.t ->
   selection * cache_stats
 (** [partition → solve_block per block → reduce], where blocks whose
     content hash matches the cache are spliced in instead of solved. A

@@ -47,7 +47,7 @@ val iter :
   Compat.graph ->
   block:int list ->
   lib:Mbr_liberty.Library.t ->
-  blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
+  blocker_index:Mbr_netlist.Types.cell_id Mbr_geom.Spatial.t ->
   (t -> unit) ->
   unit
 (** Streams the candidates of one partition block (node ids refer to
@@ -69,7 +69,7 @@ val enumerate :
   Compat.graph ->
   block:int list ->
   lib:Mbr_liberty.Library.t ->
-  blocker_index:Mbr_netlist.Types.cell_id Spatial.t ->
+  blocker_index:Mbr_netlist.Types.cell_id Mbr_geom.Spatial.t ->
   t list
 (** Materialized {!iter}, in emission order; weights of infinity are
     filtered out. *)

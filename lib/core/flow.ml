@@ -1,5 +1,6 @@
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
+module Spatial = Mbr_geom.Spatial
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
 module Legalizer = Mbr_place.Legalizer
@@ -117,6 +118,8 @@ let m_recomposes = Mbr_obs.Metrics.counter "flow.recomposes"
 
 let m_recover_rounds = Mbr_obs.Metrics.counter "flow.recover_rounds"
 
+let m_members_removed = Mbr_obs.Metrics.counter "merge.members_removed"
+
 (* Worker domains for the two parallel stages (allocate and skew). *)
 let jobs options = match options.jobs with Some j -> max 1 j | None -> 1
 
@@ -181,24 +184,30 @@ let execute_one_merge ctx occ infos (c : Candidate.t) outcome =
   with
   | None -> outcome (* no cell (cannot happen for enumerated candidates) *)
   | Some cell -> (
-    (* free the members' sites first: the best MBR spot usually is
-       where its registers were *)
-    List.iter
-      (fun cid ->
-        if Placement.is_placed placement cid then
-          Legalizer.Occupancy.remove occ (Placement.footprint placement cid))
-      members;
-    let assignment = Compose.bit_assignment placement members in
-    let conns =
-      Mbr_placer.conn_boxes placement ~cell ~assignment ~exclude:members
+    let placed =
+      Mbr_obs.Trace.with_span ~name:"merge.place" (fun () ->
+          (* free the members' sites first: the best MBR spot usually
+             is where its registers were *)
+          List.iter
+            (fun cid ->
+              if Placement.is_placed placement cid then
+                Legalizer.Occupancy.remove occ (Placement.footprint placement cid))
+            members;
+          let assignment = Compose.bit_assignment placement members in
+          let conns =
+            Mbr_placer.conn_boxes placement ~cell ~assignment ~exclude:members
+          in
+          let desired, _ =
+            Mbr_placer.optimal_corner ~cell ~conns ~region:c.Candidate.region
+          in
+          legalize_merge occ ~cell ~region:c.Candidate.region ~desired)
     in
-    let desired, _ =
-      Mbr_placer.optimal_corner ~cell ~conns ~region:c.Candidate.region
-    in
-    match legalize_merge occ ~cell ~region:c.Candidate.region ~desired with
+    match placed with
     | Some corner ->
       let id =
-        Compose.execute placement { Compose.member_cids = members; cell; corner }
+        Mbr_obs.Trace.with_span ~name:"merge.surgery" (fun () ->
+            Compose.execute placement
+              { Compose.member_cids = members; cell; corner })
       in
       Legalizer.Occupancy.add occ (Placement.footprint placement id);
       let displacement =
@@ -238,6 +247,7 @@ let stage_merge ctx graph (selection : Allocate.selection) =
           }
           selection.Allocate.merges
       in
+      Mbr_obs.Metrics.incr ~by:outcome.mo_n_regs_merged m_members_removed;
       { outcome with mo_new_mbrs = List.rev outcome.mo_new_mbrs })
 
 (* Re-stitch the scan chains the composition broke: removed members

@@ -110,7 +110,12 @@ type result = {
           "blocker-index", "allocate", "merge", "scan-restitch",
           "skew", "resize", "metrics-after". Each entry is the duration
           of that stage's trace span (see {!Mbr_obs.Trace}) — derived
-          from the trace clock, not a second [gettimeofday] pair *)
+          from the trace clock, not a second [gettimeofday] pair.
+          "merge" nests one ["merge.place"] (sites, bit assignment,
+          connection boxes, corner, legalize) and one
+          ["merge.surgery"] ({!Compose.execute}) span per merge and
+          bumps the [merge.members_removed] counter; "scan-restitch"
+          nests the {!Mbr_dft.Scan_stitch.stitch} sub-spans *)
   sta_full_builds : int;
       (** full STA graph constructions over the whole session: 1 (the
           initial build) unless an edit batch forced {!Mbr_sta.Engine.refresh}
@@ -154,7 +159,7 @@ type result = {
     - the compat graph via {!Compat.refresh} — only registers whose
       snapshot (slacks, feasible region, attributes, position) changed
       are re-checked against their spatial neighbourhood;
-    - the blocker index via {!Spatial.update}/add/remove for exactly
+    - the blocker index via {!Mbr_geom.Spatial.update}/add/remove for exactly
       the cells the logs name;
     - the allocation via {!Allocate.run} over the session's block
       cache — blocks of the K-partition whose content hash is

@@ -1,5 +1,6 @@
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
+module Spatial = Mbr_geom.Spatial
 module Design = Mbr_netlist.Design
 module Types = Mbr_netlist.Types
 module Floorplan = Mbr_place.Floorplan

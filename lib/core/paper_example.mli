@@ -14,7 +14,7 @@ type t = {
   placement : Mbr_place.Placement.t;
   library : Mbr_liberty.Library.t;
   graph : Compat.graph;  (** node order: A, B, C, D, E, F *)
-  blocker_index : Mbr_netlist.Types.cell_id Spatial.t;
+  blocker_index : Mbr_netlist.Types.cell_id Mbr_geom.Spatial.t;
   names : string array;  (** [|"A";"B";"C";"D";"E";"F"|] *)
 }
 

@@ -1,5 +1,6 @@
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
+module Spatial = Mbr_geom.Spatial
 module Hull = Mbr_geom.Hull
 
 let test_polygon rects = Hull.of_rects rects

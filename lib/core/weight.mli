@@ -19,7 +19,7 @@ val test_polygon : Mbr_geom.Rect.t list -> Mbr_geom.Point.t list
 val count_blockers :
   polygon:Mbr_geom.Point.t list ->
   constituents:Mbr_netlist.Types.cell_id list ->
-  index:Mbr_netlist.Types.cell_id Spatial.t ->
+  index:Mbr_netlist.Types.cell_id Mbr_geom.Spatial.t ->
   int
 (** Registers in [index] whose center lies inside [polygon], minus the
     constituents. Reads [index] through {!Spatial.query_rect} only —

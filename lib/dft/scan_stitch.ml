@@ -1,4 +1,7 @@
 module Point = Mbr_geom.Point
+module Rect = Mbr_geom.Rect
+module Spatial = Mbr_geom.Spatial
+module Trace = Mbr_obs.Trace
 module Design = Mbr_netlist.Design
 module Types = Mbr_netlist.Types
 module Placement = Mbr_place.Placement
@@ -54,9 +57,23 @@ let disconnect_scan_wiring dsg =
         (Design.pins_of dsg cid))
     (Design.registers dsg)
 
+(* Grid pitch for the nearest-neighbour walk: about two registers per
+   bucket over the members' bounding box. *)
+let walk_pitch pts =
+  let box = Rect.of_points pts in
+  let n = float_of_int (List.length pts) in
+  let pitch =
+    Float.max
+      (sqrt (2.0 *. Rect.area box /. n))
+      ((Rect.width box +. Rect.height box) /. n)
+  in
+  if pitch > 0.0 then pitch else 1.0
+
 (* Chain order within one partition: section runs first, then unordered
-   registers nearest-neighbour from the previous chain endpoint. *)
-let chain_order pl members =
+   registers nearest-neighbour from the previous chain endpoint, each
+   step taking the closest remaining register (the smaller cid on a
+   tie). *)
+let chain_order ?scanned pl members =
   let dsg = Placement.design pl in
   let sectioned, free =
     List.partition
@@ -72,55 +89,46 @@ let chain_order pl members =
     | Some { Types.section = None; _ } | None -> (max_int, 0, cid)
   in
   let sectioned = List.sort (fun a b -> compare (sec_key a) (sec_key b)) sectioned in
-  let pos_of cid =
-    match Placement.location_opt pl cid with
-    | Some _ -> Some (Placement.center pl cid)
-    | None -> None
-  in
-  (* greedy nearest-neighbour walk over the free registers *)
-  let placed_free, unplaced_free = List.partition (fun c -> pos_of c <> None) free in
-  let start =
-    match List.rev sectioned with
-    | last :: _ -> pos_of last
-    | [] -> None
-  in
-  let rec walk at remaining acc =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-      let dist c =
-        match (at, pos_of c) with
-        | Some p, Some q -> Point.manhattan p q
-        | _, _ -> 0.0
-      in
-      let next =
-        List.fold_left
-          (fun best c ->
-            match best with
-            | Some (b, bd) when bd <= dist c -> Some (b, bd)
-            | Some _ | None -> Some (c, dist c))
-          None remaining
-      in
-      (match next with
-      | Some (c, _) ->
-        walk (pos_of c) (List.filter (fun x -> x <> c) remaining) (c :: acc)
-      | None -> List.rev acc)
-  in
-  let start =
-    match (start, placed_free) with
-    | None, c :: _ -> pos_of c
-    | s, _ -> s
-  in
-  sectioned @ walk start placed_free [] @ unplaced_free
+  let placed_free, unplaced_free = List.partition (Placement.is_placed pl) free in
+  match List.map (fun c -> (c, Placement.center pl c)) placed_free with
+  | [] -> sectioned @ unplaced_free
+  | (_, first_pos) :: _ as placed ->
+    let index = Spatial.create ~bucket:(walk_pitch (List.map snd placed)) () in
+    List.iter (fun (c, p) -> Spatial.add index c p) placed;
+    let start =
+      match List.rev sectioned with
+      | last :: _ when Placement.is_placed pl last -> Placement.center pl last
+      | _ :: _ | [] -> first_pos
+    in
+    let rec walk at acc =
+      match Spatial.nearest ?scanned index at with
+      | None -> List.rev acc
+      | Some (c, p) ->
+        Spatial.remove index c p;
+        walk p (c :: acc)
+    in
+    sectioned @ walk start [] @ unplaced_free
+
+let m_nn_cells_scanned = Mbr_obs.Metrics.counter "dft.nn_cells_scanned"
 
 let stitch pl =
   let dsg = Placement.design pl in
-  disconnect_scan_wiring dsg;
-  let chains = by_partition dsg in
+  Trace.with_span ~name:"dft.unwire" (fun () -> disconnect_scan_wiring dsg);
+  let chains =
+    Trace.with_span ~name:"dft.order" (fun () ->
+        let scanned = ref 0 in
+        let chains =
+          List.map
+            (fun (partition, members) -> (partition, chain_order ~scanned pl members))
+            (by_partition dsg)
+        in
+        Mbr_obs.Metrics.incr ~by:!scanned m_nn_cells_scanned;
+        chains)
+  in
+  Trace.with_span ~name:"dft.thread" @@ fun () ->
   let n_hops = ref 0 in
   let wirelength = ref 0.0 in
-  let stitch_one (partition, members) =
-    let ordered = chain_order pl members in
+  let stitch_one (partition, ordered) =
     let hop_list = List.concat_map (fun cid -> hops dsg cid) ordered in
     match hop_list with
     | [] -> false

@@ -129,8 +129,7 @@ let to_verilog ?module_name dsg =
   (* wires for every other live net *)
   let port_nets = Hashtbl.copy port_of_net in
   for nid = 0 to Design.n_nets dsg - 1 do
-    let n = Design.net dsg nid in
-    if (not (Hashtbl.mem port_nets nid)) && n.Types.n_pins <> [] then
+    if (not (Hashtbl.mem port_nets nid)) && Design.net_pins dsg nid <> [] then
       Printf.bprintf buf "  wire %s;\n" names.(nid)
   done;
   (* aliases for extra ports sharing a net *)

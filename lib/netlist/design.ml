@@ -8,11 +8,38 @@ type edit =
   | Cell_retyped of cell_id
   | Net_changed of net_id
 
+(* Net membership: a net's pins in connection order. Removing a pin
+   vacates its slot in O(1); the vector is compacted in order once more
+   than half of it is vacant, so a removal costs amortised O(1) while
+   readers, walking newest-first, see exactly the order of a list that
+   is prepended on connect and filtered on disconnect. *)
+type members = {
+  mutable m_pins : pin_id array;  (* [vacant] marks a removed pin *)
+  mutable m_used : int;
+  mutable m_live : int;
+}
+
+let vacant = -1
+
+(* [a], or a copy doubled to hold index [i] (appends only: [i] is at
+   most the length); new cells hold [fill] *)
+let ensure a i fill =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max 2 (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 type t = {
   d_name : string;
   cells : cell Vec.t;
   nets : net Vec.t;
+  mutable members : members array;  (* net id -> membership *)
   pins : pin Vec.t;
+  mutable slot : int array;
+      (* pin id -> its slot in its net's [m_pins]; [vacant] when the
+         pin is unconnected *)
   mutable live : int;
   edit_log : edit Vec.t;
 }
@@ -22,7 +49,9 @@ let create ~name =
     d_name = name;
     cells = Vec.create ();
     nets = Vec.create ();
+    members = [||];
     pins = Vec.create ();
+    slot = [||];
     live = 0;
     edit_log = Vec.create ();
   }
@@ -41,16 +70,52 @@ let pin t id = Vec.get t.pins id
 
 let net t id = Vec.get t.nets id
 
+let no_members = { m_pins = [||]; m_used = 0; m_live = 0 }
+
 let add_net ?(is_clock = false) t n_name =
-  Vec.push t.nets { n_name; n_pins = []; n_is_clock = is_clock }
+  let nid = Vec.push t.nets { n_name; n_is_clock = is_clock } in
+  t.members <- ensure t.members nid no_members;
+  t.members.(nid) <- { m_pins = [||]; m_used = 0; m_live = 0 };
+  nid
+
+let members_of t nid =
+  if nid >= Vec.length t.nets then invalid_arg "Design: net id out of range";
+  t.members.(nid)
+
+let attach t pid nid =
+  let m = members_of t nid in
+  m.m_pins <- ensure m.m_pins m.m_used vacant;
+  m.m_pins.(m.m_used) <- pid;
+  t.slot.(pid) <- m.m_used;
+  m.m_used <- m.m_used + 1;
+  m.m_live <- m.m_live + 1
+
+let compact t m =
+  let k = ref 0 in
+  for i = 0 to m.m_used - 1 do
+    let pid = m.m_pins.(i) in
+    if pid <> vacant then begin
+      m.m_pins.(!k) <- pid;
+      t.slot.(pid) <- !k;
+      incr k
+    end
+  done;
+  m.m_used <- !k
+
+let detach t pid nid =
+  let m = members_of t nid in
+  m.m_pins.(t.slot.(pid)) <- vacant;
+  t.slot.(pid) <- vacant;
+  m.m_live <- m.m_live - 1;
+  if 2 * m.m_live < m.m_used then compact t m
 
 let new_pin t ~cell_id ~kind ~dir ~net_id =
   let p = { p_cell = cell_id; p_kind = kind; p_dir = dir; p_net = net_id } in
   let pid = Vec.push t.pins p in
+  t.slot <- ensure t.slot pid vacant;
   (match net_id with
   | Some nid ->
-    let n = net t nid in
-    n.n_pins <- pid :: n.n_pins;
+    attach t pid nid;
     log t (Net_changed nid)
   | None -> ());
   pid
@@ -186,23 +251,51 @@ let reg_attrs t id =
     invalid_arg "Design.reg_attrs: not a live register"
 
 let find_cell t cname =
-  let found = ref None in
-  Vec.iteri
-    (fun id c ->
-      if (not c.c_dead) && c.c_name = cname && !found = None then found := Some id)
-    t.cells;
-  !found
+  let n = Vec.length t.cells in
+  let rec scan id =
+    if id >= n then None
+    else
+      let c = cell t id in
+      if (not c.c_dead) && c.c_name = cname then Some id else scan (id + 1)
+  in
+  scan 0
 
 let pins_of t id = (cell t id).c_pins
 
 let pin_of t id kind =
   List.find_opt (fun pid -> (pin t pid).p_kind = kind) (pins_of t id)
 
-let driver t nid =
-  List.find_opt (fun pid -> (pin t pid).p_dir = Output) (net t nid).n_pins
+let iter_net_pins t nid f =
+  let m = members_of t nid in
+  for i = m.m_used - 1 downto 0 do
+    let pid = m.m_pins.(i) in
+    if pid <> vacant then f pid
+  done
 
-let sinks t nid =
-  List.filter (fun pid -> (pin t pid).p_dir = Input) (net t nid).n_pins
+(* newest-first: built oldest-first by prepending *)
+let filter_net_pins t nid keep =
+  let m = members_of t nid in
+  let acc = ref [] in
+  for i = 0 to m.m_used - 1 do
+    let pid = m.m_pins.(i) in
+    if pid <> vacant && keep pid then acc := pid :: !acc
+  done;
+  !acc
+
+let net_pins t nid = filter_net_pins t nid (fun _ -> true)
+
+let driver t nid =
+  let m = members_of t nid in
+  let rec find i =
+    if i < 0 then None
+    else
+      let pid = m.m_pins.(i) in
+      if pid <> vacant && (pin t pid).p_dir = Output then Some pid
+      else find (i - 1)
+  in
+  find (m.m_used - 1)
+
+let sinks t nid = filter_net_pins t nid (fun pid -> (pin t pid).p_dir = Input)
 
 let pin_cap t pid =
   let p = pin t pid in
@@ -265,21 +358,18 @@ let connect t pid nid =
   let p = pin t pid in
   (match p.p_net with
   | Some old ->
-    let n = net t old in
-    n.n_pins <- List.filter (fun q -> q <> pid) n.n_pins;
+    detach t pid old;
     log t (Net_changed old)
   | None -> ());
   p.p_net <- Some nid;
-  let n = net t nid in
-  n.n_pins <- pid :: n.n_pins;
+  attach t pid nid;
   log t (Net_changed nid)
 
 let disconnect t pid =
   let p = pin t pid in
   match p.p_net with
   | Some old ->
-    let n = net t old in
-    n.n_pins <- List.filter (fun q -> q <> pid) n.n_pins;
+    detach t pid old;
     p.p_net <- None;
     log t (Net_changed old)
   | None -> ()
@@ -311,29 +401,43 @@ let remove_cell t id =
 let validate t =
   let problems = ref [] in
   let bad fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  (* net <-> pin back references and single driver *)
+  (* net <-> pin back references (through the slot index, O(1) per
+     pin) and single driver *)
   Vec.iteri
     (fun nid n ->
+      let m = members_of t nid in
       let drivers =
-        List.filter (fun pid -> (pin t pid).p_dir = Output) n.n_pins
+        List.length (filter_net_pins t nid (fun pid -> (pin t pid).p_dir = Output))
       in
-      if List.length drivers > 1 then
-        bad "net %s (#%d) has %d drivers" n.n_name nid (List.length drivers);
-      List.iter
-        (fun pid ->
+      if drivers > 1 then bad "net %s (#%d) has %d drivers" n.n_name nid drivers;
+      let live = ref 0 in
+      for i = m.m_used - 1 downto 0 do
+        let pid = m.m_pins.(i) in
+        if pid <> vacant then begin
+          incr live;
           if (pin t pid).p_net <> Some nid then
-            bad "net %s lists pin %d that does not point back" n.n_name pid)
-        n.n_pins)
+            bad "net %s lists pin %d that does not point back" n.n_name pid
+          else if t.slot.(pid) <> i then
+            bad "net %s holds pin %d in slot %d but the pin records slot %d"
+              n.n_name pid i t.slot.(pid)
+        end
+      done;
+      if !live <> m.m_live then
+        bad "net %s counts %d live pins but holds %d" n.n_name m.m_live !live)
     t.nets;
   Vec.iteri
     (fun pid p ->
       match p.p_net with
       | Some nid ->
-        if not (List.mem pid (net t nid).n_pins) then
+        let m = members_of t nid in
+        let s = t.slot.(pid) in
+        if s < 0 || s >= m.m_used || m.m_pins.(s) <> pid then
           bad "pin %d points to net %d that does not list it" pid nid;
         if (cell t p.p_cell).c_dead then
           bad "dead cell %s has connected pin %d" (cell t p.p_cell).c_name pid
-      | None -> ())
+      | None ->
+        if t.slot.(pid) <> vacant then
+          bad "unconnected pin %d keeps slot %d" pid t.slot.(pid))
     t.pins;
   (* register pin sets match their library cell *)
   Vec.iteri

@@ -111,16 +111,27 @@ val reg_attrs : t -> Types.cell_id -> Types.reg_attrs
 (** Raises [Invalid_argument] when the cell is not a live register. *)
 
 val find_cell : t -> string -> Types.cell_id option
-(** Linear scan by name (live cells only) — for tests and examples. *)
+(** The lowest-id live cell of that name: a linear scan that stops at
+    the first match. *)
 
 val pin_of : t -> Types.cell_id -> Types.pin_kind -> Types.pin_id option
 
 val pins_of : t -> Types.cell_id -> Types.pin_id list
 
+val net_pins : t -> Types.net_id -> Types.pin_id list
+(** The net's pins, most recently connected first. The order is a
+    function of the edit history alone (connect prepends, disconnect
+    keeps the rest in place), so float sums over it are reproducible. *)
+
+val iter_net_pins : t -> Types.net_id -> (Types.pin_id -> unit) -> unit
+(** [net_pins] without the list. The callback must not edit the net's
+    membership. *)
+
 val driver : t -> Types.net_id -> Types.pin_id option
 (** The unique output pin on the net, if any. *)
 
 val sinks : t -> Types.net_id -> Types.pin_id list
+(** Input pins of the net, in [net_pins] order. *)
 
 val pin_cap : t -> Types.pin_id -> float
 (** Input capacitance presented by the pin (0 for outputs). *)
@@ -142,9 +153,11 @@ val clock_nets : t -> Types.net_id list
 (** {1 Edits} *)
 
 val connect : t -> Types.pin_id -> Types.net_id -> unit
-(** Reconnects (disconnecting from any previous net first). *)
+(** Reconnects (disconnecting from any previous net first). O(1)
+    amortised, whatever the net's fanout. *)
 
 val disconnect : t -> Types.pin_id -> unit
+(** O(1) amortised, whatever the net's fanout. *)
 
 val remove_cell : t -> Types.cell_id -> unit
 (** Disconnects all pins and tombstones the cell. Idempotent. *)
@@ -159,4 +172,5 @@ val validate : t -> string list
 (** Structural invariant violations (empty = healthy): multiple drivers
     on a net, pins whose net does not list them back, live registers
     with pin sets inconsistent with their library cell, dead cells with
-    connected pins. *)
+    connected pins, and a net's membership vector disagreeing with its
+    pins' slot index. Linear in the number of pins. *)

@@ -55,7 +55,7 @@ type pin = {
   mutable p_net : net_id option;
 }
 
-type net = { n_name : string; mutable n_pins : pin_id list; n_is_clock : bool }
+type net = { n_name : string; n_is_clock : bool }
 
 type cell = {
   c_name : string;

@@ -69,11 +69,9 @@ type pin = {
   mutable p_net : net_id option;
 }
 
-type net = {
-  n_name : string;
-  mutable n_pins : pin_id list;  (** unordered *)
-  n_is_clock : bool;
-}
+(** A net's pin membership lives in the design database; read it with
+    [Design.net_pins] / [Design.iter_net_pins]. *)
+type net = { n_name : string; n_is_clock : bool }
 
 type cell = {
   c_name : string;

@@ -129,15 +129,11 @@ let net_cache_of t nid =
   match Hashtbl.find_opt t.nets nid with
   | Some c -> c
   | None ->
-    let pts =
-      List.filter_map
-        (fun pid ->
-          let p = Design.pin t.dsg pid in
-          let cid = p.Types.p_cell in
-          if is_placed t cid then Some (pid, cid, pin_location t pid)
-          else None)
-        (Design.net t.dsg nid).Types.n_pins
-    in
+    let acc = ref [] in
+    Design.iter_net_pins t.dsg nid (fun pid ->
+        let cid = (Design.pin t.dsg pid).Types.p_cell in
+        if is_placed t cid then acc := (pid, cid, pin_location t pid) :: !acc);
+    let pts = List.rev !acc in
     let box =
       match pts with
       | [] -> None

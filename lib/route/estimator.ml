@@ -26,7 +26,7 @@ let net_pin_points pl nid =
         match Placement.location_opt pl p.Types.p_cell with
         | Some _ -> Some (Placement.pin_location pl pid)
         | None -> None)
-    (Design.net dsg nid).Types.n_pins
+    (Design.net_pins dsg nid)
 
 let median xs =
   let arr = Array.of_list xs in

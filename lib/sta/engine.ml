@@ -305,15 +305,12 @@ let compute_graph dsg ~nc =
   (* net arcs: each in-graph sink of a data net learns its driver *)
   let drv = Array.make n (-1) in
   for nid = 0 to Design.n_nets dsg - 1 do
-    let net = Design.net dsg nid in
-    if not net.Types.n_is_clock then
+    if not (Design.net dsg nid).Types.n_is_clock then
       match Design.driver dsg nid with
       | Some d when is_in d ->
-        List.iter
-          (fun s ->
+        Design.iter_net_pins dsg nid (fun s ->
             if is_in s && (Design.pin dsg s).Types.p_dir = Types.Input then
               drv.(s) <- d)
-          net.Types.n_pins
       | Some _ | None -> ()
   done;
   (* cell arcs: every in-graph input of a comb cell into its output *)
@@ -1037,7 +1034,7 @@ let repair t ~fresh edits moved =
       ivec_push dpins pid
     end
   in
-  List.iter (fun nid -> List.iter add_pin (Design.net t.dsg nid).Types.n_pins) !nets;
+  List.iter (fun nid -> Design.iter_net_pins t.dsg nid add_pin) !nets;
   List.iter (fun cid -> List.iter add_pin (Design.pins_of t.dsg cid)) !cells;
   let fd = Bytes.copy dirty and bd = Bytes.copy dirty in
   for i = 0 to dpins.iv_len - 1 do

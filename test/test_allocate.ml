@@ -5,7 +5,7 @@
 module Allocate = Mbr_core.Allocate
 module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
-module Spatial = Mbr_core.Spatial
+module Spatial = Mbr_geom.Spatial
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
 module Csr = Mbr_graph.Csr

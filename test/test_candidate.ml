@@ -4,7 +4,7 @@
 
 module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
-module Spatial = Mbr_core.Spatial
+module Spatial = Mbr_geom.Spatial
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
 module Csr = Mbr_graph.Csr

@@ -80,7 +80,7 @@ let test_split_basic () =
               match (Design.cell d (Design.pin d pid).Types.p_cell).Types.c_kind with
               | Types.Register _ -> true
               | _ -> false)
-            (Design.net d nid).Types.n_pins
+            (Design.net_pins d nid)
         in
         checki "one register pin per net" 1 (List.length reg_pins)
       | None -> ())

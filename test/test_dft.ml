@@ -151,6 +151,104 @@ let test_verify_catches_broken_chain () =
   | None -> Alcotest.fail "SO pin");
   check "verify reports a problem" true (Scan_stitch.verify d <> [])
 
+(* Reference chain order: the original list-based greedy walk, O(m²)
+   per partition. Each step folds over the remaining registers (kept in
+   ascending cid order) and keeps the first minimum, so it picks the
+   least distance and then the least cid — the contract the grid walk
+   in [Scan_stitch.chain_order] must reproduce exactly. *)
+let oracle_chain_order pl members =
+  let dsg = Placement.design pl in
+  let sectioned, free =
+    List.partition
+      (fun cid ->
+        match (Design.reg_attrs dsg cid).Types.scan with
+        | Some { Types.section = Some _; _ } -> true
+        | Some { Types.section = None; _ } | None -> false)
+      members
+  in
+  let sec_key cid =
+    match (Design.reg_attrs dsg cid).Types.scan with
+    | Some { Types.section = Some (sec, pos); _ } -> (sec, pos, cid)
+    | Some { Types.section = None; _ } | None -> (max_int, 0, cid)
+  in
+  let sectioned = List.sort (fun a b -> compare (sec_key a) (sec_key b)) sectioned in
+  let pos_of cid =
+    match Placement.location_opt pl cid with
+    | Some _ -> Some (Placement.center pl cid)
+    | None -> None
+  in
+  let placed_free, unplaced_free = List.partition (fun c -> pos_of c <> None) free in
+  let start =
+    match List.rev sectioned with
+    | last :: _ -> pos_of last
+    | [] -> None
+  in
+  let rec walk at remaining acc =
+    match remaining with
+    | [] -> List.rev acc
+    | _ ->
+      let dist c =
+        match (at, pos_of c) with
+        | Some p, Some q -> Point.manhattan p q
+        | _, _ -> 0.0
+      in
+      let next =
+        List.fold_left
+          (fun best c ->
+            match best with
+            | Some (b, bd) when bd <= dist c -> Some (b, bd)
+            | Some _ | None -> Some (c, dist c))
+          None remaining
+      in
+      (match next with
+      | Some (c, _) ->
+        walk (pos_of c) (List.filter (fun x -> x <> c) remaining) (c :: acc)
+      | None -> List.rev acc)
+  in
+  let start =
+    match (start, placed_free) with
+    | None, c :: _ -> pos_of c
+    | s, _ -> s
+  in
+  sectioned @ walk start placed_free [] @ unplaced_free
+
+(* Random partition: positions drawn from a coarse lattice (many exact
+   duplicates and ties), from a continuous range, or far outliers;
+   some registers unplaced, some in ordered sections. *)
+let random_partition seed =
+  let rng = Mbr_util.Rng.create seed in
+  let d, pl, clk, rst, se = fresh () in
+  let n = 1 + Mbr_util.Rng.int rng 80 in
+  let lattice = 1 + Mbr_util.Rng.int rng 6 in
+  for k = 0 to n - 1 do
+    let section =
+      if Mbr_util.Rng.chance rng 0.2 then
+        Some (Mbr_util.Rng.int rng 3, Mbr_util.Rng.int rng 10)
+      else None
+    in
+    let coord () =
+      match Mbr_util.Rng.int rng 10 with
+      | 0 -> Mbr_util.Rng.float_in rng 0.0 5000.0
+      | 1 | 2 | 3 -> Mbr_util.Rng.float_in rng 0.0 58.0
+      | _ -> 2.5 *. float_of_int (Mbr_util.Rng.int rng lattice)
+    in
+    let x = coord () and y = coord () in
+    let r =
+      add_scan_reg d pl clk rst se ~name:(Printf.sprintf "r%d" k) ~cell:sdffr1
+        ~partition:0 ?section x
+    in
+    if Mbr_util.Rng.chance rng 0.15 then Placement.remove pl r
+    else Placement.set pl r (Point.make x y)
+  done;
+  (pl, Design.registers d)
+
+let grid_order_matches_oracle =
+  QCheck.Test.make ~name:"grid chain order = quadratic-walk oracle" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let pl, members = random_partition seed in
+      Scan_stitch.chain_order pl members = oracle_chain_order pl members)
+
 let test_generated_design_chains_ok () =
   let g = G.generate (P.tiny ~seed:606) in
   Alcotest.(check (list string)) "chains verified at generation" []
@@ -188,6 +286,7 @@ let () =
           Alcotest.test_case "verify catches breaks" `Quick
             test_verify_catches_broken_chain;
         ] );
+      ("order", [ QCheck_alcotest.to_alcotest grid_order_matches_oracle ]);
       ( "integration",
         [
           Alcotest.test_case "generated design chains" `Quick

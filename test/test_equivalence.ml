@@ -13,7 +13,7 @@
 module Candidate = Mbr_core.Candidate
 module Compat = Mbr_core.Compat
 module Allocate = Mbr_core.Allocate
-module Spatial = Mbr_core.Spatial
+module Spatial = Mbr_geom.Spatial
 module Design = Mbr_netlist.Design
 module Engine = Mbr_sta.Engine
 module Corner = Mbr_sta.Corner

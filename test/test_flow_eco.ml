@@ -14,7 +14,7 @@ module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
 module Corner = Mbr_sta.Corner
-module Spatial = Mbr_core.Spatial
+module Spatial = Mbr_geom.Spatial
 module Compat = Mbr_core.Compat
 module Allocate = Mbr_core.Allocate
 module Flow = Mbr_core.Flow

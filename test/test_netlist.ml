@@ -189,6 +189,88 @@ let test_find_cell () =
   Design.remove_cell d r;
   check "dead not found" true (Design.find_cell d "r0" = None)
 
+let test_find_cell_first_live_match () =
+  let d = Design.create ~name:"dup" in
+  let o1 = Design.add_net d "o1" and o2 = Design.add_net d "o2" in
+  let a = Design.add_net d "a" in
+  let g1 = Design.add_comb d "g" nand2 ~inputs:[ a; a ] ~output:o1 in
+  let g2 = Design.add_comb d "g" nand2 ~inputs:[ a; a ] ~output:o2 in
+  check "lowest id wins" true (Design.find_cell d "g" = Some g1);
+  Design.remove_cell d g1;
+  check "next live match" true (Design.find_cell d "g" = Some g2)
+
+(* Net membership against a list model: connect prepends, disconnect
+   and remove_cell filter in place. Few shared nets and many pins, so
+   the vacated-slot compaction runs many times per case. *)
+let membership_matches_list_model =
+  QCheck.Test.make ~name:"net_pins = prepend/filter list model" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Mbr_util.Rng.create seed in
+      let d = Design.create ~name:"model" in
+      let n_shared = 1 + Mbr_util.Rng.int rng 3 in
+      let shared = Array.init n_shared (fun i -> Design.add_net d (Printf.sprintf "s%d" i)) in
+      let model = Hashtbl.create 64 in
+      let get nid = Option.value (Hashtbl.find_opt model nid) ~default:[] in
+      let prepend nid pid = Hashtbl.replace model nid (pid :: get nid) in
+      let drop nid pid = Hashtbl.replace model nid (List.filter (( <> ) pid) (get nid)) in
+      let live = ref [] in
+      let add_cell () =
+        let ins = List.init 2 (fun _ -> Mbr_util.Rng.pick rng shared) in
+        let out = Design.add_net d "o" in
+        let cid =
+          Design.add_comb d (Printf.sprintf "g%d" (List.length !live)) nand2 ~inputs:ins ~output:out
+        in
+        List.iter
+          (fun pid ->
+            match (Design.pin d pid).Types.p_net with
+            | Some nid -> prepend nid pid
+            | None -> ())
+          (Design.pins_of d cid);
+        live := cid :: !live
+      in
+      for _ = 1 to 20 + Mbr_util.Rng.int rng 40 do add_cell () done;
+      let input_pin () =
+        let cid = Mbr_util.Rng.pick_list rng !live in
+        List.nth (Design.pins_of d cid) (Mbr_util.Rng.int rng 2)
+      in
+      let agrees () =
+        Hashtbl.fold (fun nid pins ok -> ok && Design.net_pins d nid = pins) model true
+      in
+      let ok = ref true in
+      for step = 1 to 400 do
+        if !live = [] then add_cell ();
+        (match Mbr_util.Rng.int rng 10 with
+        | 0 -> add_cell ()
+        | 1 ->
+          let cid = Mbr_util.Rng.pick_list rng !live in
+          List.iter
+            (fun pid ->
+              match (Design.pin d pid).Types.p_net with
+              | Some nid -> drop nid pid
+              | None -> ())
+            (Design.pins_of d cid);
+          Design.remove_cell d cid;
+          live := List.filter (( <> ) cid) !live
+        | 2 | 3 | 4 ->
+          let pid = input_pin () in
+          (match (Design.pin d pid).Types.p_net with
+          | Some nid -> drop nid pid
+          | None -> ());
+          Design.disconnect d pid
+        | _ ->
+          let pid = input_pin () in
+          let nid = Mbr_util.Rng.pick rng shared in
+          (match (Design.pin d pid).Types.p_net with
+          | Some old -> drop old pid
+          | None -> ());
+          prepend nid pid;
+          Design.connect d pid nid);
+        if not (agrees ()) then ok := false;
+        if step mod 50 = 0 && Design.validate d <> [] then ok := false
+      done;
+      !ok && Design.validate d = [])
+
 let test_total_area () =
   let d, _, _, _, _, _ = small_design () in
   checkf "area = gate + register" (nand2.Types.area +. dff1.Cell_lib.area)
@@ -276,6 +358,8 @@ let () =
       ( "queries",
         [
           Alcotest.test_case "find_cell" `Quick test_find_cell;
+          Alcotest.test_case "find_cell first live match" `Quick
+            test_find_cell_first_live_match;
           Alcotest.test_case "total area" `Quick test_total_area;
           Alcotest.test_case "clock nets" `Quick test_clock_nets;
         ] );
@@ -287,5 +371,6 @@ let () =
           Alcotest.test_case "retype register" `Quick test_retype_register;
           Alcotest.test_case "validate double driver" `Quick
             test_validate_catches_double_driver;
+          QCheck_alcotest.to_alcotest membership_matches_list_model;
         ] );
     ]

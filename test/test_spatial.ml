@@ -4,7 +4,7 @@
 
 module Point = Mbr_geom.Point
 module Rect = Mbr_geom.Rect
-module Spatial = Mbr_core.Spatial
+module Spatial = Mbr_geom.Spatial
 module Rng = Mbr_util.Rng
 
 let check = Alcotest.(check bool)
@@ -140,8 +140,48 @@ let test_churn_matches_model () =
   check "buckets bounded by live points" true
     (Spatial.n_buckets t <= Spatial.size t)
 
+(* Exact nearest neighbour against a linear scan: least Manhattan
+   distance, smaller value on a tie, over lattice points (many exact
+   ties), scattered points and queries far outside the populated box,
+   interleaved with removals. *)
+let test_nearest_matches_brute_force () =
+  let rng = Rng.create 17 in
+  for _ = 1 to 40 do
+    let t = Spatial.create ~bucket:(Rng.float_in rng 0.5 20.0) () in
+    check "empty index" true (Spatial.nearest t (Point.make 1.0 1.0) = None);
+    let pts =
+      List.init (1 + Rng.int rng 60) (fun v ->
+          let c () =
+            if Rng.bool rng then 5.0 *. float_of_int (Rng.int rng 4)
+            else Rng.float_in rng (-50.0) 150.0
+          in
+          (v, Point.make (c ()) (c ())))
+    in
+    List.iter (fun (v, p) -> Spatial.add t v p) pts;
+    let live = ref pts in
+    while !live <> [] do
+      let q = Point.make (Rng.float_in rng (-300.0) 300.0) (Rng.float_in rng (-300.0) 300.0) in
+      let want =
+        List.fold_left
+          (fun best (v, p) ->
+            let d = Point.manhattan q p in
+            match best with
+            | Some (bv, bd, _) when bd < d || (bd = d && bv < v) -> best
+            | Some _ | None -> Some (v, d, p))
+          None !live
+      in
+      (match (Spatial.nearest t q, want) with
+      | Some (v, _), Some (wv, _, _) -> check_int "nearest value" wv v
+      | _, _ -> Alcotest.fail "nearest missing");
+      let v, p = List.nth !live (Rng.int rng (List.length !live)) in
+      Spatial.remove t v p;
+      live := List.filter (fun (v', _) -> v' <> v) !live
+    done;
+    check "drained" true (Spatial.nearest t (Point.make 0.0 0.0) = None)
+  done
+
 let () =
-  Alcotest.run "mbr_core.spatial"
+  Alcotest.run "mbr_geom.spatial"
     [
       ( "spatial",
         [
@@ -155,5 +195,7 @@ let () =
           Alcotest.test_case "update of absent entry adds" `Quick
             test_update_absent_adds;
           Alcotest.test_case "churn vs model" `Quick test_churn_matches_model;
+          Alcotest.test_case "nearest vs brute force" `Quick
+            test_nearest_matches_brute_force;
         ] );
     ]

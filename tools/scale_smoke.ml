@@ -16,6 +16,14 @@
    batched propagation is exactly the kind of win a quadratic slip
    would silently undo while hiding inside the total wall headroom.
 
+   Merge and scan-restitch get one ceiling each for the same reason:
+   both were quadratic (list-based net membership, list-based
+   nearest-neighbour chain walk) and took ~0.65 s and ~0.38 s at scale
+   8; with O(1) membership edits and the grid walk they take ~0.17 s
+   and ~0.06 s on a 2-core host. The ceilings sit between the two, so a
+   slip back to the quadratic code trips them while noise does not:
+   merge 0.45 s, scan-restitch 0.25 s.
+
    Usage: scale_smoke.exe [SCALE] [WALL_CEILING_S] [RSS_CEILING_MB] [SKEW_CEILING_S]
    Defaults: 8.0, 180 s, 2048 MB, 20 s. *)
 
@@ -46,18 +54,25 @@ let () =
     "scale-smoke: wall %.1f s (flow %.1f s), merges %d, peak rss %s\n%!" wall
     r.Mbr_core.Flow.runtime_s r.Mbr_core.Flow.n_merges
     (match rss with Some m -> Printf.sprintf "%.0f MB" m | None -> "n/a");
-  let skew_s =
-    match List.assoc_opt "skew" r.Mbr_core.Flow.stage_times with
-    | Some s -> s
-    | None -> 0.0
-  in
-  Printf.printf "scale-smoke: skew stage %.2f s\n%!" skew_s;
   let failed = ref false in
-  if skew_s > skew_ceiling then begin
-    Printf.printf "scale-smoke: FAIL skew stage %.2f s > ceiling %.0f s\n%!"
-      skew_s skew_ceiling;
-    failed := true
-  end;
+  List.iter
+    (fun (stage, ceiling) ->
+      let s =
+        match List.assoc_opt stage r.Mbr_core.Flow.stage_times with
+        | Some s -> s
+        | None -> 0.0
+      in
+      Printf.printf "scale-smoke: %s stage %.2f s\n%!" stage s;
+      if s > ceiling then begin
+        Printf.printf "scale-smoke: FAIL %s stage %.2f s > ceiling %.2f s\n%!"
+          stage s ceiling;
+        failed := true
+      end)
+    [
+      ("skew", skew_ceiling);
+      ("merge", 0.45);
+      ("scan-restitch", 0.25);
+    ];
   if wall > wall_ceiling then begin
     Printf.printf "scale-smoke: FAIL wall %.1f s > ceiling %.0f s\n%!" wall
       wall_ceiling;

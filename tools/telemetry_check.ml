@@ -20,7 +20,7 @@
      - well-formed {"counters": {...}, ...} snapshot;
      - the counters a traced flow run must have bumped are present and
        positive (including "sta.corners": every engine build registers
-       its corner set);
+       its corner set, and the merge / scan-restitch work counters);
      - the reduction and recovery-loop counters are present (they are
        0 on runs with nothing to prune or that never decompose);
      - when "flow.recover_rounds" > 0, the trace must carry a
@@ -176,7 +176,7 @@ let check_metrics path =
       if counter name <= 0 then fail "metrics: counter %S is 0" name)
     [ "flow.recomposes"; "ilp.solves"; "ilp.components";
       "lp.simplex_solves"; "lp.simplex_pivots"; "sta.refreshes";
-      "sta.corners" ];
+      "sta.corners"; "merge.members_removed"; "dft.nn_cells_scanned" ];
   (* the reduction and recovery-loop counters must exist in every
      snapshot (their modules register them at init); they are
      legitimately 0 on designs with nothing to prune or runs that never
