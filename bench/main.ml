@@ -1080,8 +1080,7 @@ let section_recovery () =
       Mbr_sta.Engine.build ~config:g.G.sta_config ~corners g.G.placement
     in
     Mbr_sta.Engine.analyze eng;
-    let tv = Mbr_sta.Timing_view.of_engine eng in
-    let wns, _ = Mbr_sta.Timing_view.wns_tns tv in
+    let wns, _ = Mbr_sta.Engine.wns_tns eng in
     (wns, g.G.sta_config.Mbr_sta.Engine.clock_period)
   in
   Printf.printf

@@ -23,9 +23,12 @@ for ex in quickstart soc_block scan_chains incomplete_mbrs useful_skew \
 done
 
 echo "== QoR anchors (D1 x0.5 per allocator: seeded, must reproduce exactly) =="
-for spec in 'ilp:regs=477 tns=-14190.6 fail=648/2000' \
-            'clique:regs=459 tns=-14688.4 fail=629/2000' \
-            'greedy:regs=498 tns=-13914.0 fail=633/2000'; do
+# regs/tns/fail pin the allocator and the timing; sigWL/ovfl pin the
+# route estimate and clkPwr the CTS + power model (Table 1's other
+# columns)
+for spec in 'ilp:regs=477 tns=-14190.6 fail=648/2000 sigWL=239186 clkPwr=11591.3uW(24%) ovfl=229' \
+            'clique:regs=459 tns=-14688.4 fail=629/2000 sigWL=239070 clkPwr=11100.1uW(23%) ovfl=229' \
+            'greedy:regs=498 tns=-13914.0 fail=633/2000 sigWL=240630 clkPwr=12082.0uW(24%) ovfl=229'; do
   mode=${spec%%:*}
   after=$(dune exec bin/mbrc.exe -- run -p d1 --scale 0.5 --mode "$mode" \
           | grep '^after :')

@@ -18,8 +18,6 @@ type options = {
   decompose : bool;
   corners : Mbr_sta.Corner.t array;
   recover : int;
-  route_config : Mbr_route.Estimator.config option;
-  cts_config : Mbr_cts.Synth.config option;
 }
 
 let default_options =
@@ -33,8 +31,6 @@ let default_options =
     decompose = false;
     corners = Mbr_sta.Corner.default;
     recover = 0;
-    route_config = None;
-    cts_config = None;
   }
 
 type result = {
@@ -138,9 +134,7 @@ let legalize_merge occ ~(cell : Cell_lib.t) ~region ~desired =
 
 (* ---- stages, in Fig. 4 order ---- *)
 
-let collect_metrics ctx =
-  Metrics.collect ?route_config:ctx.options.route_config
-    ?cts_config:ctx.options.cts_config ctx.eng ctx.library
+let collect_metrics ctx = Metrics.collect ctx.eng ctx.library
 
 
 (* optional pre-pass: open up max-width MBRs for recomposition *)
@@ -648,7 +642,6 @@ module Session = struct
          corner goes negative. Splittability guarantees every round
          makes >= 1 split, so rounds are never spent on unsplittable
          violators. *)
-      let tv = Mbr_sta.Timing_view.of_engine s.eng in
       let victims () =
         List.filter
           (fun cid ->
@@ -657,8 +650,8 @@ module Session = struct
             &&
             let sl =
               Float.min
-                (Mbr_sta.Timing_view.reg_d_slack tv cid)
-                (Mbr_sta.Timing_view.reg_q_slack tv cid)
+                (Engine.reg_d_slack s.eng cid)
+                (Engine.reg_q_slack s.eng cid)
             in
             Float.is_finite sl && sl < 0.0)
           (Design.registers s.design)

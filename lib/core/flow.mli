@@ -48,8 +48,6 @@ type options = {
           partition→allocate→compose, up to this many rounds (default
           0 = loop off). {!Session.recompose}'s [?recover] overrides
           it per call. *)
-  route_config : Mbr_route.Estimator.config option;
-  cts_config : Mbr_cts.Synth.config option;
 }
 
 val default_options : options
@@ -117,9 +115,10 @@ type result = {
           bumps the [merge.members_removed] counter; "scan-restitch"
           nests the {!Mbr_dft.Scan_stitch.stitch} sub-spans *)
   sta_full_builds : int;
-      (** full STA graph constructions over the whole session: 1 (the
-          initial build) unless an edit batch forced {!Mbr_sta.Engine.refresh}
-          to fall back to a rebuild *)
+      (** full STA graph constructions over the whole session: 1 for the
+          initial build plus one per {!Mbr_sta.Engine.refresh} whose
+          batch changed the structure (a merge or scan restitch does),
+          as {!Mbr_sta.Engine.full_builds} counts them *)
   sta_refreshes : int;
       (** STA updates that took the incremental path *)
   eco_blocks_resolved : int;

@@ -5,7 +5,6 @@ module Types = Mbr_netlist.Types
 module Placement = Mbr_place.Placement
 module Cell_lib = Mbr_liberty.Cell
 module Piecewise = Mbr_lp.Piecewise
-module Simplex = Mbr_lp.Simplex
 
 type conn_box = { offset : Point.t; box : Rect.t }
 
@@ -74,33 +73,3 @@ let optimal_corner ~cell ~conns ~region =
   let x, fx = Piecewise.minimize ~bounds:(xlo, xhi) xterms in
   let y, fy = Piecewise.minimize ~bounds:(ylo, yhi) yterms in
   (Point.make x y, fx +. fy)
-
-let lp_corner ~cell ~conns ~region =
-  let (xlo, xhi), (ylo, yhi) = corner_bounds ~cell ~region in
-  if xhi < xlo || yhi < ylo then None
-  else begin
-    let lp = Simplex.create () in
-    let x = Simplex.add_var ~lb:xlo ~ub:xhi lp in
-    let y = Simplex.add_var ~lb:ylo ~ub:yhi lp in
-    (* wl_i = (zxh - zxl) + (zyh - zyl) with
-       zxh >= box.hx, zxh >= x + dx; zxl <= box.lx, zxl <= x + dx *)
-    List.iter
-      (fun c ->
-        let zxh = Simplex.add_var ~lb:neg_infinity ~obj:1.0 lp in
-        let zxl = Simplex.add_var ~lb:neg_infinity ~obj:(-1.0) lp in
-        let zyh = Simplex.add_var ~lb:neg_infinity ~obj:1.0 lp in
-        let zyl = Simplex.add_var ~lb:neg_infinity ~obj:(-1.0) lp in
-        Simplex.add_constraint lp [ (zxh, 1.0) ] Simplex.Ge c.box.Rect.hx;
-        Simplex.add_constraint lp [ (zxh, 1.0); (x, -1.0) ] Simplex.Ge c.offset.Point.x;
-        Simplex.add_constraint lp [ (zxl, 1.0) ] Simplex.Le c.box.Rect.lx;
-        Simplex.add_constraint lp [ (zxl, 1.0); (x, -1.0) ] Simplex.Le c.offset.Point.x;
-        Simplex.add_constraint lp [ (zyh, 1.0) ] Simplex.Ge c.box.Rect.hy;
-        Simplex.add_constraint lp [ (zyh, 1.0); (y, -1.0) ] Simplex.Ge c.offset.Point.y;
-        Simplex.add_constraint lp [ (zyl, 1.0) ] Simplex.Le c.box.Rect.ly;
-        Simplex.add_constraint lp [ (zyl, 1.0); (y, -1.0) ] Simplex.Le c.offset.Point.y)
-      conns;
-    match Simplex.solve lp with
-    | { Simplex.status = Simplex.Optimal; objective; values; _ } ->
-      Some (Point.make values.(x) values.(y), objective)
-    | { Simplex.status = Simplex.Infeasible | Simplex.Unbounded; _ } -> None
-  end

@@ -6,11 +6,10 @@
     and the (unknown) pin location, expressed relative to the cell's
     lower-left corner plus the pin's fixed offset — exactly the LP of
     the paper, with max/min linearized away. Because the objective is
-    separable per axis and convex piecewise-linear, the production
-    solver is an exact weighted-median scan ({!Mbr_lp.Piecewise});
-    {!lp_corner} solves the same program with the simplex (helper
-    variables for max/min) and is used to cross-check the fast path in
-    the test suite. *)
+    separable per axis and convex piecewise-linear, the solver is an
+    exact weighted-median scan ({!Mbr_lp.Piecewise}). The test suite
+    cross-checks it against the same program solved with the simplex
+    (helper variables for max/min). *)
 
 type conn_box = {
   offset : Mbr_geom.Point.t;  (** pin offset from the cell corner *)
@@ -36,11 +35,3 @@ val optimal_corner :
 (** Exact minimizer (corner, objective). The corner keeps the footprint
     inside [region] when the region is large enough; otherwise it is
     clamped to the region's lower-left corner. *)
-
-val lp_corner :
-  cell:Mbr_liberty.Cell.t ->
-  conns:conn_box list ->
-  region:Mbr_geom.Rect.t ->
-  (Mbr_geom.Point.t * float) option
-(** Simplex reference solution of the same LP; [None] if the LP is
-    infeasible (region smaller than the footprint). *)

@@ -1,7 +1,6 @@
 module Design = Mbr_netlist.Design
 module Placement = Mbr_place.Placement
 module Engine = Mbr_sta.Engine
-module Timing_view = Mbr_sta.Timing_view
 module Synth = Mbr_cts.Synth
 module Estimator = Mbr_route.Estimator
 module Stats = Mbr_util.Stats
@@ -26,25 +25,21 @@ type t = {
   corners : (string * float * float) list;
 }
 
-let collect ?route_config ?cts_config eng lib =
+let collect eng lib =
   let pl = Engine.placement eng in
   let dsg = Placement.design pl in
-  let tv = Timing_view.of_engine eng in
   Engine.refresh eng;
-  let cts = Synth.synthesize ?config:cts_config pl in
-  let route = Estimator.estimate ?config:route_config pl in
+  let cts = Synth.synthesize pl in
+  let route = Estimator.estimate pl in
   let regs = Design.registers dsg in
   let comp_regs =
     List.length (List.filter (Compat.is_composable dsg lib) regs)
   in
   let buf_area =
-    float_of_int cts.Synth.n_buffers
-    *. (match cts_config with
-       | Some c -> c.Synth.buf_area
-       | None -> Synth.default_config.Synth.buf_area)
+    float_of_int cts.Synth.n_buffers *. Synth.default_config.Synth.buf_area
   in
   let power =
-    Power.estimate ~config:(Power.config_of_sta (Engine.config eng)) ~cts pl
+    Power.estimate ~config:(Power.config_of_sta (Engine.config eng)) ~cts eng
   in
   {
     cells = Design.n_cells dsg;
@@ -57,13 +52,13 @@ let collect ?route_config ?cts_config eng lib =
     clk_cap = cts.Synth.total_cap;
     clk_power = power.Power.clock_power;
     clk_power_frac = power.Power.clock_fraction;
-    tns = Timing_view.tns tv;
-    wns = Timing_view.wns tv;
-    failing = Timing_view.failing_endpoints tv;
-    endpoints = Timing_view.n_endpoints tv;
+    tns = Engine.tns eng;
+    wns = Engine.wns eng;
+    failing = Engine.failing_endpoints eng;
+    endpoints = Engine.n_endpoints eng;
     ovfl = route.Estimator.overflow_edges;
     utilization = Placement.utilization pl;
-    corners = Timing_view.per_corner tv;
+    corners = Engine.per_corner_wns_tns eng;
   }
 
 let pp_row ppf m =

@@ -24,14 +24,14 @@ type t = {
           order; a single ["typical"] entry for single-corner runs *)
 }
 
-val collect :
-  ?route_config:Mbr_route.Estimator.config ->
-  ?cts_config:Mbr_cts.Synth.config ->
-  Mbr_sta.Engine.t ->
-  Mbr_liberty.Library.t ->
-  t
-(** Runs STA (with whatever useful skew the engine carries), CTS and
-    the congestion estimate on the engine's placement. *)
+val collect : Mbr_sta.Engine.t -> Mbr_liberty.Library.t -> t
+(** Refreshes the engine (with whatever useful skew it carries) and
+    reads the timing fields from its worst-corner accessors (the
+    [corners] rows from {!Mbr_sta.Engine.per_corner_wns_tns}); runs CTS
+    and the congestion estimate on the engine's placement with their
+    default configs. Net geometry comes from the placement's per-net
+    cache and signal power from the engine's net loads, so each number
+    has one source. *)
 
 val pp_row : Format.formatter -> t -> unit
 (** One-line human-readable summary. *)

@@ -1,30 +1,16 @@
 module Design = Mbr_netlist.Design
 module Types = Mbr_netlist.Types
-module Placement = Mbr_place.Placement
-module Estimator = Mbr_route.Estimator
 module Synth = Mbr_cts.Synth
 module Engine = Mbr_sta.Engine
 
-type config = {
-  vdd : float;
-  clock_period : float;
-  data_activity : float;
-  wire_cap : float;
-}
+type config = { vdd : float; clock_period : float; data_activity : float }
 
 let config_of_sta (sta : Engine.config) =
-  {
-    vdd = 0.9;
-    clock_period = sta.Engine.clock_period;
-    data_activity = 0.25;
-    wire_cap = sta.Engine.wire_cap;
-  }
+  { vdd = 0.9; clock_period = sta.Engine.clock_period; data_activity = 0.25 }
 
 type report = {
   clock_power : float;
   signal_power : float;
-  leakage_power : float;
-  total : float;
   clock_fraction : float;
 }
 
@@ -33,45 +19,22 @@ type report = {
 let dynamic_uw cfg ~cap ~activity =
   1000.0 *. cap *. cfg.vdd *. cfg.vdd *. activity /. cfg.clock_period
 
-let estimate ?config ?cts pl =
-  let cfg =
-    match config with
-    | Some c -> c
-    | None -> config_of_sta Engine.default_config
-  in
-  let dsg = Placement.design pl in
-  let cts =
-    match cts with Some c -> c | None -> Synth.synthesize pl
-  in
-  let clock_power = dynamic_uw cfg ~cap:cts.Synth.total_cap ~activity:1.0 in
+let estimate ~config ~cts eng =
+  let dsg = Mbr_place.Placement.design (Engine.placement eng) in
+  let clock_power = dynamic_uw config ~cap:cts.Synth.total_cap ~activity:1.0 in
   let signal_cap = ref 0.0 in
   for nid = 0 to Design.n_nets dsg - 1 do
-    let n = Design.net dsg nid in
-    if (not n.Types.n_is_clock) && Design.driver dsg nid <> None then begin
-      let pin_caps =
-        List.fold_left
-          (fun acc pid -> acc +. Design.pin_cap dsg pid)
-          0.0 (Design.sinks dsg nid)
-      in
-      signal_cap := !signal_cap +. pin_caps +. (cfg.wire_cap *. Estimator.net_hpwl pl nid)
-    end
+    if (not (Design.net dsg nid).Types.n_is_clock) && Design.driver dsg nid <> None
+    then
+      signal_cap :=
+        !signal_cap +. Engine.net_pin_cap eng nid +. Engine.net_wire_cap eng nid
   done;
-  let signal_power = dynamic_uw cfg ~cap:!signal_cap ~activity:cfg.data_activity in
-  let leakage_power =
-    List.fold_left
-      (fun acc cid ->
-        match (Design.cell dsg cid).Types.c_kind with
-        | Types.Register a -> acc +. a.Types.lib_cell.Mbr_liberty.Cell.leakage
-        | Types.Comb _ | Types.Clock_root | Types.Clock_gate _ | Types.Port _ ->
-          acc)
-      0.0 (Design.live_cells dsg)
-    /. 1000.0
+  let signal_power =
+    dynamic_uw config ~cap:!signal_cap ~activity:config.data_activity
   in
   let dynamic = clock_power +. signal_power in
   {
     clock_power;
     signal_power;
-    leakage_power;
-    total = dynamic +. leakage_power;
     clock_fraction = (if dynamic > 0.0 then clock_power /. dynamic else 0.0);
   }

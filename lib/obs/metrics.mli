@@ -94,6 +94,11 @@ val snapshot_of_json : Json.t -> (snapshot, string) result
     [telemetry] verb's clients, [tools/prom_export] — use to get a
     first-class snapshot back from the wire. *)
 
+val escape_label_value : string -> string
+(** Backslash, double quote and newline escaped as the Prometheus text
+    format requires; everything else byte-for-byte. Label values inside
+    {!series_name} keys and the {!Prom} exposition both use it. *)
+
 val series_name : string -> (string * string) list -> string
 (** Canonical registry key for [name] under [labels] — [name] itself
     when [labels] is empty. *)

@@ -46,18 +46,6 @@ let label_name raw =
     "l" ^ s
   else s
 
-let escape_label_value v =
-  let buf = Buffer.create (String.length v) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.contents buf
-
 let float_str f =
   if Float.is_nan f then "NaN"
   else if f = Float.infinity then "+Inf"
@@ -74,7 +62,8 @@ let labels_str labels =
     ^ String.concat ","
         (List.map
            (fun (k, v) ->
-             Printf.sprintf "%s=\"%s\"" (label_name k) (escape_label_value v))
+             Printf.sprintf "%s=\"%s\"" (label_name k)
+               (Metrics.escape_label_value v))
            labels)
     ^ "}"
 

@@ -24,10 +24,6 @@ val label_name : string -> string
 (** Exposition name for a raw label key. Always satisfies
     {!is_legal_label_name} (never starts with the reserved [__]). *)
 
-val escape_label_value : string -> string
-(** Backslash, double quote and newline escaped as the exposition
-    format requires; everything else byte-for-byte. *)
-
 val float_str : float -> string
 (** Sample-value rendering: integral floats without a fraction,
     [NaN]/[+Inf]/[-Inf] spelled the way Prometheus parses them. *)

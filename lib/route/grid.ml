@@ -80,13 +80,6 @@ let overflow_edges t =
       if d > cap +. 1e-9 then acc + 1 else acc)
     0
 
-let max_utilization t =
-  fold_edges t
-    (fun acc dir d ->
-      let cap = match dir with `H -> t.cap_h | `V -> t.cap_v in
-      Float.max acc (if cap > 0.0 then d /. cap else 0.0))
-    0.0
-
 let total_demand t = fold_edges t (fun acc _ d -> acc +. d) 0.0
 
 let reset t =

@@ -35,9 +35,6 @@ val route_l : t -> Mbr_geom.Point.t -> Mbr_geom.Point.t -> demand:float -> unit
 val overflow_edges : t -> int
 (** Edges with demand strictly above capacity. *)
 
-val max_utilization : t -> float
-(** max over edges of demand/capacity (0 when the grid is empty). *)
-
 val total_demand : t -> float
 
 val reset : t -> unit

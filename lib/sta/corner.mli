@@ -1,7 +1,8 @@
 (** Timing corners: multiplicative derate sets on the linear delay
     model. The {!Engine} analyzes one shared graph under every corner
-    of its active set; consumers read worst-corner slack through
-    {!Timing_view} rather than indexing corners by hand. *)
+    of its active set; consumers read worst-corner slack through the
+    engine's unqualified accessors rather than indexing corners by
+    hand. *)
 
 type t = {
   name : string;

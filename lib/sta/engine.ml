@@ -537,19 +537,20 @@ let register_index t =
 
 (* ---- delays ---- *)
 
-let net_load t nid =
-  let dsg = t.dsg in
-  let pin_caps =
-    List.fold_left
-      (fun acc s -> acc +. Design.pin_cap dsg s)
-      0.0 (Design.sinks dsg nid)
-  in
+let net_pin_cap t nid =
+  List.fold_left
+    (fun acc s -> acc +. Design.pin_cap t.dsg s)
+    0.0 (Design.sinks t.dsg nid)
+
+let net_wire_cap t nid =
   let wire_len =
     match Placement.net_box t.pl nid with
     | Some box -> Mbr_geom.Rect.half_perimeter box
     | None -> 0.0
   in
-  pin_caps +. (t.cfg.wire_cap *. wire_len)
+  t.cfg.wire_cap *. wire_len
+
+let net_load t nid = net_pin_cap t nid +. net_wire_cap t nid
 
 let nl_open t =
   let nn = Design.n_nets t.dsg in

@@ -26,11 +26,11 @@
     arrival/required plane per corner over the single shared graph —
     every propagation walks each arc once and relaxes all corners
     against its per-corner delays, reading and writing unboxed
-    doubles. Plain accessors
+    doubles. The unqualified accessors
     ({!slack}, {!wns_tns}, {!reg_d_slack}, ...) report worst-corner
-    values (worst slack = min over per-corner slacks); use
-    {!corner_slack} / {!per_corner_wns_tns} to see individual corners,
-    or {!Timing_view} from consumer code. A single-[Corner.typical]
+    values (worst slack = min over per-corner slacks) and are what
+    every flow consumer reads; the [corner_*] accessors and
+    {!per_corner_wns_tns} expose individual corners. A single-[Corner.typical]
     engine (the default) is bit-identical to the historical
     single-corner engine: unit derates multiply by exactly 1.0. *)
 
@@ -229,6 +229,17 @@ val reg_d_slack : t -> Mbr_netlist.Types.cell_id -> float
 val output_load : t -> Mbr_netlist.Types.pin_id -> float
 (** Capacitive load seen by an output pin (sink pins + wire), fF; 0
     when unconnected. Used by MBR sizing to bound delay changes. *)
+
+val net_pin_cap : t -> Mbr_netlist.Types.net_id -> float
+(** Sum of the net's sink pin caps, fF — the first term of the net
+    load every delay reads. *)
+
+val net_wire_cap : t -> Mbr_netlist.Types.net_id -> float
+(** [wire_cap] × HPWL of the net's placed pins
+    ({!Mbr_place.Placement.net_box}), fF — the second term. The load is
+    [net_pin_cap +. net_wire_cap], summed in that order; the terms are
+    exposed separately so a caller accumulating over nets keeps its own
+    association. *)
 
 val reg_q_slack : t -> Mbr_netlist.Types.cell_id -> float
 (** Worst slack over the register's connected Q pins — the backward-

@@ -23,7 +23,6 @@ module G = Mbr_designgen.Generate
 module P = Mbr_designgen.Profile
 module Eco = Mbr_designgen.Eco
 module Rng = Mbr_util.Rng
-module Timing_view = Mbr_sta.Timing_view
 
 let blocker_index_of graph =
   let idx = Spatial.create () in
@@ -74,11 +73,10 @@ let streaming_matches_materialized =
    register) applied Jacobi-style, clamped to the bound. Keeps the
    best (tns, wns) assignment seen, like [Skew.optimize]. *)
 let reference_skew (cfg : Skew.config) eng =
-  let tv = Timing_view.of_engine eng in
   Engine.refresh eng;
   let regs, _ = Engine.register_index eng in
   let n = Array.length regs in
-  let wns_before, tns_before = Timing_view.wns_tns tv in
+  let wns_before, tns_before = Engine.wns_tns eng in
   let clamp v = Float.max (-.cfg.Skew.bound) (Float.min cfg.Skew.bound v) in
   let step s_d s_q =
     if Float.is_finite s_d && Float.is_finite s_q then begin
@@ -100,7 +98,7 @@ let reference_skew (cfg : Skew.config) eng =
        for i = n - 1 downto 0 do
          let r = regs.(i) in
          let delta =
-           step (Timing_view.reg_d_slack tv r) (Timing_view.reg_q_slack tv r)
+           step (Engine.reg_d_slack eng r) (Engine.reg_q_slack eng r)
          in
          let next = clamp (cur.(i) +. delta) in
          if Float.abs (next -. cur.(i)) > 0.5 then moves := (i, next) :: !moves
@@ -109,7 +107,7 @@ let reference_skew (cfg : Skew.config) eng =
        Engine.update_skews eng
          (List.map (fun (i, next) -> (regs.(i), next)) !moves);
        List.iter (fun (i, next) -> cur.(i) <- next) !moves;
-       let wns, tns = Timing_view.wns_tns tv in
+       let wns, tns = Engine.wns_tns eng in
        if (tns, wns) > (!best_tns, !best_wns) then begin
          best_tns := tns;
          best_wns := wns;
@@ -122,7 +120,7 @@ let reference_skew (cfg : Skew.config) eng =
     if cur.(i) <> best.(i) then restore := (regs.(i), best.(i)) :: !restore
   done;
   if !restore <> [] then Engine.update_skews eng !restore;
-  let wns_after, tns_after = Timing_view.wns_tns tv in
+  let wns_after, tns_after = Engine.wns_tns eng in
   {
     Skew.wns_before;
     wns_after;

@@ -1,5 +1,5 @@
 (* Tests for Mbr_core.Mbr_placer: the §4.2 LP. The weighted-median fast
-   path is validated against the simplex reference on random instances,
+   path is validated against a simplex oracle (below) on random instances,
    plus hand-checked cases and region clamping. *)
 
 module Mbr_placer = Mbr_core.Mbr_placer
@@ -8,6 +8,7 @@ module Rect = Mbr_geom.Rect
 module Library = Mbr_liberty.Library
 module Presets = Mbr_liberty.Presets
 module Cell_lib = Mbr_liberty.Cell
+module Simplex = Mbr_lp.Simplex
 
 let check = Alcotest.(check bool)
 
@@ -21,6 +22,43 @@ let big_region = Rect.make ~lx:(-100.0) ~ly:(-100.0) ~hx:100.0 ~hy:100.0
 
 let conn ?(off = Point.origin) lx ly hx hy =
   { Mbr_placer.offset = off; box = Rect.make ~lx ~ly ~hx ~hy }
+
+(* ---- the oracle: the §4.2 LP solved with the simplex ---- *)
+
+(* Same program as [Mbr_placer.optimal_corner], linearized the way the
+   paper writes it: per connection, wl = (zxh - zxl) + (zyh - zyl) with
+   zxh >= box.hx, zxh >= x + dx; zxl <= box.lx, zxl <= x + dx (and the
+   same in y). The corner ranges over the region minus the footprint,
+   degenerating to the region's corner when the region is too small.
+   [None] when the simplex reports anything but an optimum. *)
+let lp_corner ~(cell : Cell_lib.t) ~conns ~(region : Rect.t) =
+  let xlo = region.Rect.lx and ylo = region.Rect.ly in
+  let xhi = Float.max xlo (region.Rect.hx -. cell.Cell_lib.width) in
+  let yhi = Float.max ylo (region.Rect.hy -. cell.Cell_lib.height) in
+  let lp = Simplex.create () in
+  let x = Simplex.add_var ~lb:xlo ~ub:xhi lp in
+  let y = Simplex.add_var ~lb:ylo ~ub:yhi lp in
+  List.iter
+    (fun (c : Mbr_placer.conn_box) ->
+      let zxh = Simplex.add_var ~lb:neg_infinity ~obj:1.0 lp in
+      let zxl = Simplex.add_var ~lb:neg_infinity ~obj:(-1.0) lp in
+      let zyh = Simplex.add_var ~lb:neg_infinity ~obj:1.0 lp in
+      let zyl = Simplex.add_var ~lb:neg_infinity ~obj:(-1.0) lp in
+      let ge v rhs = Simplex.add_constraint lp v Simplex.Ge rhs in
+      let le v rhs = Simplex.add_constraint lp v Simplex.Le rhs in
+      ge [ (zxh, 1.0) ] c.box.Rect.hx;
+      ge [ (zxh, 1.0); (x, -1.0) ] c.offset.Point.x;
+      le [ (zxl, 1.0) ] c.box.Rect.lx;
+      le [ (zxl, 1.0); (x, -1.0) ] c.offset.Point.x;
+      ge [ (zyh, 1.0) ] c.box.Rect.hy;
+      ge [ (zyh, 1.0); (y, -1.0) ] c.offset.Point.y;
+      le [ (zyl, 1.0) ] c.box.Rect.ly;
+      le [ (zyl, 1.0); (y, -1.0) ] c.offset.Point.y)
+    conns;
+  match Simplex.solve lp with
+  | { Simplex.status = Simplex.Optimal; objective; values; _ } ->
+    Some (Point.make values.(x) values.(y), objective)
+  | { Simplex.status = Simplex.Infeasible | Simplex.Unbounded; _ } -> None
 
 let test_single_point_target () =
   (* one pin with offset o connecting to a point net at p: corner = p - o *)
@@ -64,7 +102,7 @@ let test_tight_region_degenerates () =
 let test_lp_agrees_on_simple_case () =
   let conns = [ conn 0.0 0.0 0.0 0.0; conn 10.0 4.0 10.0 4.0 ] in
   let _, fast = Mbr_placer.optimal_corner ~cell:dff2 ~conns ~region:big_region in
-  match Mbr_placer.lp_corner ~cell:dff2 ~conns ~region:big_region with
+  match lp_corner ~cell:dff2 ~conns ~region:big_region with
   | Some (_, lp) -> checkf "objectives equal" lp fast
   | None -> Alcotest.fail "lp feasible"
 
@@ -100,7 +138,7 @@ let fast_matches_lp =
   QCheck.Test.make ~name:"weighted-median placement = simplex LP" ~count:150
     conns_arb (fun conns ->
       let _, fast = Mbr_placer.optimal_corner ~cell:dff2 ~conns ~region:big_region in
-      match Mbr_placer.lp_corner ~cell:dff2 ~conns ~region:big_region with
+      match lp_corner ~cell:dff2 ~conns ~region:big_region with
       | Some (_, lp) -> Float.abs (fast -. lp) < 1e-5
       | None -> false)
 
